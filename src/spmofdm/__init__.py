@@ -47,9 +47,7 @@ from .simulation import (
     RateReport,
     SimConfig,
     estimate_rate,
-    ml_detect,
     simulate_ber,
-    transmit_block,
 )
 from .analysis import (
     pep_asymptotic,

@@ -124,11 +124,10 @@ def _require(cfg, *keys):
         raise ConfigError(f"missing required config key(s): {', '.join(missing)}")
 
 
-def _resolve_k(cfg):
-    k = cfg.get("k")
+def _resolve_k(variant, n, k):
+    """k as configured, with k=auto replaced by the rate-maximizing count."""
     if k == "auto":
-        variant = codebook.canonical_variant(cfg["variant"])
-        n = cfg["n"]
+        variant = codebook.canonical_variant(variant)
         return optimal_k_ordered(n) if variant == "ospm" else optimal_k(n).argmax
     return k
 
@@ -138,7 +137,7 @@ def _scheme_from_config(cfg):
     return codebook.build_scheme(
         cfg["variant"],
         cfg["n"],
-        k=_resolve_k(cfg),
+        k=_resolve_k(cfg["variant"], cfg["n"], cfg.get("k")),
         m=cfg["m"],
         d=cfg.get("d"),
         n_active=cfg.get("n_active"),
@@ -187,7 +186,8 @@ def cmd_codebook(cfg, args):
     dmin, dmin_rl, min_rank = codebook.codebook_dmin(scheme.codewords)
     usable = len(scheme.book.patterns)
     figures = codebook.rate(
-        scheme.book.variant, scheme.n, k=_resolve_k(cfg), m=cfg["m"],
+        scheme.book.variant, scheme.n,
+        k=_resolve_k(cfg["variant"], cfg["n"], cfg.get("k")), m=cfg["m"],
         d=cfg.get("d"), n_active=cfg.get("n_active"),
         usable_patterns=usable if cfg["selection"] != "none" else None,
     )
@@ -215,14 +215,18 @@ def cmd_codebook(cfg, args):
 def cmd_select(cfg, args):
     if "graph" in cfg:  # user-supplied edge list instead of a variant book
         try:
-            with open(cfg["graph"]) as fh:
-                graph = selection.graph_from_edge_list(fh.read())
+            with open(cfg["graph"], "rb") as fh:
+                edges = fh.read()
         except OSError as e:
             raise ConfigError(f"cannot read graph {cfg['graph']}: {e}") from None
+        graph = selection.graph_from_edge_list(edges.decode())
+        # the provenance hash covers the edge list, not just its path
+        cfg["_hash"] = hashlib.sha256(cfg["_hash"].encode() + edges).hexdigest()[:12]
     else:
         _require(cfg, "variant", "n")
         book = codebook.build_index_codebook(
-            cfg["variant"], cfg["n"], k=_resolve_k(cfg), d=cfg.get("d"),
+            cfg["variant"], cfg["n"],
+            k=_resolve_k(cfg["variant"], cfg["n"], cfg.get("k")), d=cfg.get("d"),
             n_active=cfg.get("n_active"),
         )
         graph = selection.build_hamming_graph(book.patterns)
@@ -230,18 +234,10 @@ def cmd_select(cfg, args):
     rows = ["algorithm,size,bound,elapsed_ms,indices"]
     status = EXIT_OK
     for algo in algos:
-        if algo == "alg1":
-            res = selection.brute_force_k_clique(graph, budget=cfg.get("budget"))
-            if not res.conclusive:
-                status = EXIT_BUDGET
-        elif algo == "alg2":
-            res = selection.vertex_exclusion(graph)
-        elif algo == "exact":
-            res = selection.exact_max_clique(graph, time_budget=cfg.get("time_budget", 60.0))
-            if not res.proven_optimal:
-                status = EXIT_BUDGET
-        else:
-            raise ConfigError(f"unknown algorithm {algo!r}")
+        res = selection.solve(graph, algo, budget=cfg.get("budget"),
+                              time_budget=cfg.get("time_budget", 60.0))
+        if not res.conclusive or res.proven_optimal is False:
+            status = EXIT_BUDGET
         if res.indices and not selection.is_clique(graph, res.indices):
             raise AssertionError(f"{algo} returned a non-clique")
         rows.append(selection.clique_result_csv_row(res))
@@ -306,9 +302,7 @@ def cmd_rate(cfg, args):
         for n in n_range:
             k = d = n_active = None
             if vc in ("spm", "ospm"):
-                k = cfg.get("k", "auto")
-                if k == "auto":
-                    k = optimal_k_ordered(n) if vc == "ospm" else optimal_k(n).argmax
+                k = _resolve_k(vc, n, cfg.get("k", "auto"))
             elif vc == "mm":
                 k = n
             elif vc == "dm":

@@ -35,8 +35,6 @@ __all__ = [
     "RateFigures",
     "build_index_codebook",
     "pattern_count",
-    "bits_to_pattern",
-    "pattern_to_bits",
     "expand_codeword",
     "assemble_scheme",
     "build_scheme",
@@ -73,7 +71,6 @@ class IndexCodebook:
     n: int
     k: int  # number of distinct labels any pattern may use
     patterns: tuple[tuple[int, ...], ...]
-    selected: bool = False
 
     @property
     def f1(self) -> int:
@@ -170,26 +167,6 @@ def pattern_count(variant, n, k=None, d=None, n_active=None) -> int:
     return 1  # ofdm
 
 
-def bits_to_pattern(bits: int, book: IndexCodebook) -> tuple[int, ...]:
-    """Look up the pattern for an f1-bit index word."""
-    f1 = book.f1
-    if not 0 <= bits < (1 << f1):
-        raise ValueError(f"index word {bits} out of range for f1={f1}")
-    return book.patterns[bits]
-
-
-def pattern_to_bits(pattern: tuple[int, ...], book: IndexCodebook) -> int:
-    """Inverse lookup, defined on the first 2^f1 patterns only."""
-    f1 = book.f1
-    try:
-        idx = book.patterns.index(tuple(pattern))
-    except ValueError:
-        raise ValueError(f"pattern {pattern} not in codebook") from None
-    if idx >= (1 << f1):
-        raise ValueError(f"pattern {pattern} outside the mapped range (2^{f1})")
-    return idx
-
-
 def _widths(pattern, family: ConstellationFamily):
     return [family.bits_per_symbol(lab) for lab in pattern]
 
@@ -261,12 +238,9 @@ def assemble_scheme(name: str, book: IndexCodebook, family: ConstellationFamily)
 
 def restrict(book: IndexCodebook, indices, pad_to: int | None = None) -> IndexCodebook:
     """Codebook on a vertex subset (ascending original index), optionally
-    padded with the lexicographically smallest unused patterns.
-
-    The selected flag is set only when the result genuinely is a clique of
-    power-of-two size under the Hamming >= 2 rule; padding normally breaks
-    that (it reintroduces unit-distance pairs) and is flagged accordingly.
-    """
+    padded with the lexicographically smallest unused patterns. Padding
+    normally reintroduces unit-distance pairs, so a padded book is usually
+    not a clique."""
     chosen = [book.patterns[i] for i in sorted(indices)]
     if pad_to is not None:
         if pad_to < len(chosen):
@@ -275,15 +249,8 @@ def restrict(book: IndexCodebook, indices, pad_to: int | None = None) -> IndexCo
         chosen.extend(rest[: pad_to - len(chosen)])
         if len(chosen) < pad_to:
             raise ValueError(f"cannot pad to {pad_to}: only {len(chosen)} patterns exist")
-    pats = tuple(chosen)
-    pow2 = (len(pats) & (len(pats) - 1)) == 0
-    clique = all(
-        sum(x != y for x, y in zip(a, b)) >= 2
-        for a, b in itertools.combinations(pats, 2)
-    )
     return IndexCodebook(
-        variant=book.variant, n=book.n, k=book.k, patterns=pats,
-        selected=pow2 and clique,
+        variant=book.variant, n=book.n, k=book.k, patterns=tuple(chosen),
     )
 
 
@@ -427,18 +394,11 @@ def build_scheme(
         if v in ("ofdm",):
             raise ValueError("selection is meaningless for plain ofdm")
         graph = sel.build_hamming_graph(book.patterns)
-        if selection == "alg1":
-            res = sel.brute_force_k_clique(graph, budget=budget)
-            if not res.conclusive:
-                raise sel.BudgetExhausted(
-                    f"brute-force selection exhausted its budget on {v}({n})"
-                )
-        elif selection == "alg2":
-            res = sel.vertex_exclusion(graph)
-        elif selection == "exact":
-            res = sel.exact_max_clique(graph, time_budget=time_budget)
-        else:
-            raise ValueError(f"unknown selection {selection!r}")
+        res = sel.solve(graph, selection, budget=budget, time_budget=time_budget)
+        if not res.conclusive:
+            raise sel.BudgetExhausted(
+                f"brute-force selection exhausted its budget on {v}({n})"
+            )
         book = restrict(book, res.indices, pad_to=pad_to)
     elif pad_to is not None:
         raise ValueError("pad_to only applies together with selection")

@@ -33,6 +33,7 @@ __all__ = [
     "brute_force_k_clique",
     "vertex_exclusion",
     "exact_max_clique",
+    "solve",
     "export_edge_list",
     "clique_result_csv_row",
 ]
@@ -179,7 +180,7 @@ def vertex_exclusion(graph: HammingGraph) -> CliqueResult:
     adj = graph.adjacency
     L = graph.order
     active = np.ones(L, dtype=bool)
-    deg = adj.sum(axis=1).astype(np.int64)
+    deg = graph.degrees
     remaining = L
     while True:
         idx = np.nonzero(active)[0]
@@ -235,33 +236,63 @@ def exact_max_clique(graph: HammingGraph, time_budget: float = 60.0) -> CliqueRe
         adj_masks.append(mask)
 
     best: list[int] = []
+    current: list[int] = []
     timed_out = False
+    # One frame per open node: [candidate set P, vertices in color order,
+    # their colors, i]. verts[:i] are still to be tried, last first;
+    # verts[i] is the vertex on current while a child frame is open.
+    stack = []
 
-    def expand(current: list[int], P: int):
-        nonlocal best, timed_out
-        if timed_out:
-            return
-        if time.perf_counter() > deadline:
+    def enter(P: int):
+        nonlocal timed_out
+        if timed_out or time.perf_counter() > deadline:
             timed_out = True
-            return
+            return False
         verts, colors = _color_sort(P, adj_masks)
-        for v, c in zip(reversed(verts), reversed(colors)):
-            if len(current) + c <= len(best):
-                return
-            current.append(v)
-            newP = P & adj_masks[v]
-            if newP:
-                expand(current, newP)
-            elif len(current) > len(best):
-                best = current.copy()
-            current.pop()
-            P &= ~(1 << v)
+        stack.append([P, verts, colors, len(verts)])
+        return True
 
-    expand([], (1 << L) - 1)
+    def leave(frame):  # drop the tried vertex from the frame's candidates
+        current.pop()
+        frame[0] &= ~(1 << frame[1][frame[3]])
+
+    enter((1 << L) - 1)
+    while stack:
+        frame = stack[-1]
+        P, verts, colors, i = frame
+        if i == 0 or len(current) + colors[i - 1] <= len(best):
+            stack.pop()
+            if stack:
+                leave(stack[-1])
+            continue
+        v = verts[i - 1]
+        frame[3] = i - 1
+        current.append(v)
+        newP = P & adj_masks[v]
+        if newP:
+            if enter(newP):
+                continue
+        elif len(current) > len(best):
+            best = current.copy()
+        leave(frame)
+
     return CliqueResult(
         indices=tuple(sorted(best)), algorithm="exact", bound=bound,
         elapsed_s=time.perf_counter() - t0, proven_optimal=not timed_out,
     )
+
+
+def solve(graph: HammingGraph, algorithm: str, budget: int | None = None,
+          time_budget: float = 60.0) -> CliqueResult:
+    """Run one solver by name: alg1 (brute force, capped by budget), alg2
+    (vertex exclusion) or exact (capped by time_budget seconds)."""
+    if algorithm == "alg1":
+        return brute_force_k_clique(graph, budget=budget)
+    if algorithm == "alg2":
+        return vertex_exclusion(graph)
+    if algorithm == "exact":
+        return exact_max_clique(graph, time_budget=time_budget)
+    raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
 def export_edge_list(graph: HammingGraph) -> str:

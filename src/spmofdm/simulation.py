@@ -12,7 +12,6 @@ results are bit-identical for any worker count and any execution order.
 Block counts are therefore always multiples of BATCH_BLOCKS.
 """
 
-import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -25,15 +24,10 @@ from .codebook import Scheme
 __all__ = [
     "BATCH_BLOCKS",
     "SimConfig",
-    "BlockChannel",
     "BerPoint",
     "BerReport",
     "RatePoint",
     "RateReport",
-    "draw_block_channel",
-    "transmit_block",
-    "ml_detect",
-    "split_bits",
     "simulate_ber",
     "estimate_rate",
     "ber_csv_rows",
@@ -70,50 +64,8 @@ class SimConfig:
             raise ValueError("snr grid must be non-empty")
         if self.min_bit_errors < 1:
             raise ValueError("min_bit_errors must be >= 1")
-
-    def canonical_text(self) -> str:
-        return (
-            f"scheme={self.scheme.name} n={self.scheme.n} f1={self.scheme.f1} "
-            f"f2={self.scheme.f2} kind={self.scheme.family.kind} "
-            f"snr={','.join(f'{s:.6g}' for s in self.snr_db_grid)} "
-            f"min_errors={self.min_bit_errors} max_blocks={self.max_blocks} "
-            f"seed={self.master_seed}"
-        )
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:12]
-
-
-@dataclass(frozen=True)
-class BlockChannel:
-    """One block's channel realization."""
-
-    h: np.ndarray
-    noise: np.ndarray
-    es: float
-    n0: float
-
-
-def draw_block_channel(rng: np.random.Generator, n: int, n0: float, es: float = 1.0) -> BlockChannel:
-    h = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / math.sqrt(2.0)
-    noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * math.sqrt(n0 / 2.0)
-    return BlockChannel(h=h, noise=noise, es=es, n0=n0)
-
-
-def transmit_block(bits: int, scheme: Scheme) -> np.ndarray:
-    """Map one f-bit word to its block of symbols (index word in the top f1
-    bits, modulation word below)."""
-    from .codebook import bits_to_pattern, expand_codeword
-
-    if not 0 <= bits < (1 << scheme.f):
-        raise ValueError(f"bit word {bits} out of range for f={scheme.f}")
-    pattern = bits_to_pattern(bits >> scheme.f2, scheme.book)
-    return expand_codeword(pattern, bits & ((1 << scheme.f2) - 1), scheme.family)
-
-
-def split_bits(scheme: Scheme, bits: int) -> tuple[tuple[int, ...], int]:
-    """(pattern, modulation word) carried by a bit word."""
-    return scheme.book.patterns[bits >> scheme.f2], bits & ((1 << scheme.f2) - 1)
+        if self.max_blocks < BATCH_BLOCKS:
+            raise ValueError(f"max_blocks must be >= {BATCH_BLOCKS} (one batch)")
 
 
 def _detect_batch(y, h, codewords, es):
@@ -133,11 +85,6 @@ def _detect_batch(y, h, codewords, es):
         metric = es * power - 2.0 * root_es * cross
         out[lo:hi] = np.argmin(metric, axis=1)
     return out
-
-
-def ml_detect(y, h, scheme: Scheme, es: float = 1.0) -> int:
-    """Exhaustive ML detection of a single block; returns the bit word."""
-    return int(_detect_batch(np.atleast_2d(y), np.atleast_2d(h), scheme.codewords, es)[0])
 
 
 @dataclass(frozen=True)
@@ -167,12 +114,19 @@ class BerPoint:
 class BerReport:
     scheme: str
     seed: int
-    config_hash: str
     points: tuple[BerPoint, ...]
 
     @property
     def converged(self) -> bool:
         return all(p.converged for p in self.points)
+
+
+def _draw_channel(gen, B, n, n0):
+    """Rayleigh fading h and noise of variance n0 for B blocks of n
+    subcarriers, drawn h real, h imaginary, noise real, noise imaginary."""
+    h = (gen.standard_normal((B, n)) + 1j * gen.standard_normal((B, n))) / math.sqrt(2.0)
+    noise = (gen.standard_normal((B, n)) + 1j * gen.standard_normal((B, n))) * math.sqrt(n0 / 2.0)
+    return h, noise
 
 
 def _ber_batch(scheme, snr_index, batch_index, n0, seed, es=1.0):
@@ -186,8 +140,7 @@ def _ber_batch(scheme, snr_index, batch_index, n0, seed, es=1.0):
     n = scheme.n
     f, f2 = scheme.f, scheme.f2
     B = BATCH_BLOCKS
-    h = (gen.standard_normal((B, n)) + 1j * gen.standard_normal((B, n))) / math.sqrt(2.0)
-    noise = (gen.standard_normal((B, n)) + 1j * gen.standard_normal((B, n))) * math.sqrt(n0 / 2.0)
+    h, noise = _draw_channel(gen, B, n, n0)
     bits = gen.integers(0, 1 << f, size=B, dtype=np.uint64)
     tx = scheme.codewords[bits]
     y = math.sqrt(es) * tx * h + noise
@@ -206,7 +159,7 @@ def simulate_ber(config: SimConfig, workers: int = 1) -> BerReport:
     configs give bit-identical reports for any worker count.
     """
     scheme = config.scheme
-    max_batches = max(1, config.max_blocks // BATCH_BLOCKS)
+    max_batches = config.max_blocks // BATCH_BLOCKS
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     points = []
     try:
@@ -237,8 +190,7 @@ def simulate_ber(config: SimConfig, workers: int = 1) -> BerReport:
         if pool:
             pool.shutdown()
     return BerReport(
-        scheme=scheme.name, seed=config.master_seed, config_hash=config.digest(),
-        points=tuple(points),
+        scheme=scheme.name, seed=config.master_seed, points=tuple(points),
     )
 
 
@@ -254,7 +206,6 @@ class RatePoint:
 class RateReport:
     scheme: str
     seed: int
-    config_hash: str
     points: tuple[RatePoint, ...]
 
 
@@ -285,8 +236,7 @@ def estimate_rate(config: SimConfig, draws: int = 4096) -> RateReport:
         for bi in range(n_batches):
             gen = _stream(config.master_seed, _TAG_RATE, si, bi)
             B = _DRAW_BATCH
-            h = (gen.standard_normal((B, n)) + 1j * gen.standard_normal((B, n))) / math.sqrt(2.0)
-            noise = (gen.standard_normal((B, n)) + 1j * gen.standard_normal((B, n))) * math.sqrt(n0 / 2.0)
+            h, noise = _draw_channel(gen, B, n, n0)
             a = (np.abs(h) ** 2).T  # (n, B)
             u = (np.conj(h) * noise).T  # (n, B)
             acc = np.zeros(B)
@@ -305,8 +255,7 @@ def estimate_rate(config: SimConfig, draws: int = 4096) -> RateReport:
         stderr = float(t.std(ddof=1)) / math.sqrt(t.size) / n
         points.append(RatePoint(snr_db=snr_db, rate=rate_val, stderr=stderr, draws=t.size))
     return RateReport(
-        scheme=scheme.name, seed=config.master_seed, config_hash=config.digest(),
-        points=tuple(points),
+        scheme=scheme.name, seed=config.master_seed, points=tuple(points),
     )
 
 

@@ -120,15 +120,6 @@ class TestUnionBound:
         b = union_bound_ber(scheme.codewords, 50.0)
         assert a == b
 
-    def test_subsample_flagged_and_close(self):
-        scheme = build_scheme("ospm", 4, k=2, m=2, selection="alg1")
-        g = 1000.0
-        exact = union_bound_ber(scheme.codewords, g)
-        sub = union_bound_ber(scheme.codewords, g, subsample=200_000, seed=4)
-        assert not sub.exact
-        assert sub.stderr is not None
-        assert abs(sub.ber_bound - exact.ber_bound) < 5 * sub.stderr
-
     def test_index_only_events_have_diversity_two(self):
         # selected codebook: any two codewords with the same modulation word
         # but different patterns differ in >= 2 positions

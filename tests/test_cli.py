@@ -106,6 +106,20 @@ class TestSelectCommand:
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert all(int(r.split(",")[1]) == 3 for r in rows[1:])
 
+    def test_edge_list_in_config_hash(self, tmp_path):
+        # same config text, two different edge lists behind the same path
+        edges = tmp_path / "g.txt"
+        p = write_cfg(tmp_path, "s.cfg", f"graph={edges}\nalgorithms=alg2\n")
+        hashes = []
+        for text in ("0 1\n0 2\n1 2\n", "0 1\n1 2\n"):
+            edges.write_text(text)
+            out = tmp_path / "sel.csv"
+            assert run("select", p, out) == EXIT_OK
+            hashes.append([l for l in out.read_text().splitlines()
+                           if l.startswith("# config_hash=")])
+        assert len(hashes[0]) == len(hashes[1]) == 1
+        assert hashes[0] != hashes[1]
+
 
 class TestBerCommand:
     def test_csv_schema_and_determinism(self, tmp_path):
@@ -146,6 +160,14 @@ class TestBerCommand:
             "min_errors=100000\nmax_blocks=8192\n",
         )
         assert run("ber", p, tmp_path / "n.csv") == EXIT_NONCONVERGED
+
+    def test_block_budget_below_one_batch(self, tmp_path):
+        p = write_cfg(
+            tmp_path, "b.cfg",
+            "variant=ofdm\nn=1\nm=2\nsnr_start=10\nsnr_stop=10\nsnr_step=1\n"
+            "max_blocks=100\n",
+        )
+        assert run("ber", p, tmp_path / "n.csv") == EXIT_CONFIG
 
     def test_with_bound_column(self, tmp_path):
         p = write_cfg(

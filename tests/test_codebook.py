@@ -10,7 +10,7 @@ from spmofdm.codebook import (
     IndexCodebook,
     asymptotic_max_rate,
     asymptotic_rate,
-    bits_to_pattern,
+    assemble_scheme,
     build_index_codebook,
     build_scheme,
     codebook_dmin,
@@ -18,12 +18,12 @@ from spmofdm.codebook import (
     export_codebook,
     export_codewords,
     pattern_count,
-    pattern_to_bits,
     rate,
     restrict,
 )
 from spmofdm.combinatorics import bell, ordered_bell, stirling2
 from spmofdm.constellations import psk_family
+from spmofdm.selection import build_hamming_graph, is_clique
 
 
 def partition_signature(labels):
@@ -136,28 +136,40 @@ class TestContainments:
             assert pattern_count("gdm", n) == sum(math.comb(n, d) for d in range(n + 1))
 
 
+def index_word_patterns(scheme):
+    """Pattern of each index word, read back from the codeword table: the
+    book pattern whose symbols fill the word's all-zero modulation row."""
+    out = []
+    for w in range(1 << scheme.f1):
+        row = scheme.codewords[w << scheme.f2]
+        hits = [p for p in scheme.book.patterns
+                if np.allclose(row, expand_codeword(p, 0, scheme.family))]
+        assert len(hits) == 1
+        out.append(hits[0])
+    return out
+
+
 class TestBitMapping:
     def test_first_mapped_row(self):
-        assert bits_to_pattern(0b00, LOOKUP_BOOK) == (0, 1, 1, 1)
+        scheme = assemble_scheme("lookup", LOOKUP_BOOK, psk_family(2, 2, 4))
+        assert index_word_patterns(scheme)[0b00] == (0, 1, 1, 1)
 
     def test_round_trip(self):
-        for w in range(4):
-            assert pattern_to_bits(bits_to_pattern(w, LOOKUP_BOOK), LOOKUP_BOOK) == w
+        scheme = assemble_scheme("lookup", LOOKUP_BOOK, psk_family(2, 2, 4))
+        assert index_word_patterns(scheme) == list(LOOKUP_BOOK.patterns)
 
     def test_selected_ospm_round_trip(self):
         scheme = build_scheme("ospm", 4, k=2, m=2, selection="alg1")
         book = scheme.book
-        assert len(book.patterns) == 8 and book.selected
-        for w in range(8):
-            assert pattern_to_bits(bits_to_pattern(w, book), book) == w
+        assert len(book.patterns) == 8
+        assert is_clique(build_hamming_graph(book.patterns), range(8))
+        assert index_word_patterns(scheme) == list(book.patterns)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            bits_to_pattern(4, LOOKUP_BOOK)
-        book = build_index_codebook("spm", 4, k=2)  # 7 patterns, f1 = 2
-        late = book.patterns[5]
-        with pytest.raises(ValueError):
-            pattern_to_bits(late, book)
+        # 7 patterns, f1 = 2: only the first four are mapped
+        scheme = build_scheme("spm", 4, k=2, m=2)
+        assert scheme.codewords.shape[0] == 4 << scheme.f2
+        assert index_word_patterns(scheme) == list(scheme.book.patterns[:4])
 
 
 class TestExpansion:
@@ -264,13 +276,14 @@ class TestRate:
 
 
 class TestRestrict:
-    def test_selected_flag(self):
+    def test_clique_selection(self):
         book = build_index_codebook("ospm", 4, k=2)
         # patterns 0 and 4 are (0,0,0,1) and (0,0,1,1): unit distance
         sub = restrict(book, [0, 4])
-        assert not sub.selected
+        assert not is_clique(build_hamming_graph(sub.patterns), [0, 1])
         scheme = build_scheme("ospm", 4, k=2, m=2, selection="alg2")
-        assert scheme.book.selected
+        pats = scheme.book.patterns
+        assert is_clique(build_hamming_graph(pats), range(len(pats)))
 
     def test_padding_lex_smallest(self):
         book = build_index_codebook("fspm", 4)
@@ -279,7 +292,8 @@ class TestRestrict:
         assert sub.patterns[0] == book.patterns[0]
         remaining = sorted(set(book.patterns) - set(book.patterns[:2]))
         assert set(sub.patterns[2:]) == set(remaining[:2])
-        assert not sub.selected  # padding reintroduces unit-distance pairs
+        # padding reintroduces unit-distance pairs
+        assert not is_clique(build_hamming_graph(sub.patterns), range(4))
 
     def test_pad_too_small(self):
         book = build_index_codebook("fspm", 4)

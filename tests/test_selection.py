@@ -14,6 +14,7 @@ import pytest
 
 from spmofdm.codebook import build_index_codebook
 from spmofdm.selection import (
+    HammingGraph,
     brute_force_k_clique,
     build_hamming_graph,
     clique_upper_bound,
@@ -187,6 +188,13 @@ class TestExact:
         res = exact_max_clique(g)
         assert res.size == 3
         assert set(res.indices) == {0, 1, 2}
+
+    def test_deep_search_does_not_recurse(self):
+        # one search level per clique vertex: far deeper than Python's
+        # default recursion limit
+        g = HammingGraph(None, ~np.eye(1100, dtype=bool))
+        res = exact_max_clique(g)
+        assert res.size == 1100 and res.proven_optimal
 
 
 class TestIsClique:

@@ -5,16 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from spmofdm.codebook import build_scheme
+from spmofdm.codebook import build_scheme, expand_codeword
 from spmofdm.simulation import (
     BATCH_BLOCKS,
     SimConfig,
-    draw_block_channel,
+    _detect_batch,
+    _draw_channel,
     estimate_rate,
-    ml_detect,
     simulate_ber,
-    split_bits,
-    transmit_block,
 )
 
 
@@ -25,14 +23,18 @@ def ospm422():
 
 class TestTransmit:
     def test_all_zero_bits(self, ospm422):
-        x = transmit_block(0, ospm422)
+        x = ospm422.codewords[0]
         pat = ospm422.book.patterns[0]
         fam = ospm422.family
         assert np.allclose(x, [fam.members[lab][0] for lab in pat])
 
     def test_matches_codeword_table(self, ospm422):
+        # index word in the top f1 bits, modulation word below
+        mask = (1 << ospm422.f2) - 1
         for w in range(1 << ospm422.f):
-            assert np.allclose(transmit_block(w, ospm422), ospm422.codewords[w])
+            pat = ospm422.book.patterns[w >> ospm422.f2]
+            x = expand_codeword(pat, w & mask, ospm422.family)
+            assert np.allclose(x, ospm422.codewords[w])
 
     def test_distinct_words_distinct_codewords(self):
         for scheme in (build_scheme("ospm", 4, k=2, m=2, selection="alg1"),
@@ -42,35 +44,28 @@ class TestTransmit:
 
     def test_split_bits(self, ospm422):
         word = (0b101 << ospm422.f2) | 0b0110
-        pat, mod = split_bits(ospm422, word)
-        assert pat == ospm422.book.patterns[0b101]
-        assert mod == 0b0110
-
-    def test_out_of_range(self, ospm422):
-        with pytest.raises(ValueError):
-            transmit_block(1 << ospm422.f, ospm422)
+        x = expand_codeword(ospm422.book.patterns[0b101], 0b0110, ospm422.family)
+        assert np.allclose(ospm422.codewords[word], x)
 
 
 class TestDetection:
     def test_noiseless_round_trip(self, ospm422):
         rng = np.random.default_rng(5)
+        X = ospm422.codewords
         h = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / math.sqrt(2)
-        for w in range(1 << ospm422.f):
-            y = transmit_block(w, ospm422) * h
-            assert ml_detect(y, h, ospm422) == w
+        H = np.broadcast_to(h, X.shape)
+        det = _detect_batch(X * H, H, X, 1.0)
+        assert (det == np.arange(1 << ospm422.f)).all()
 
     def test_matches_exhaustive_oracle(self, ospm422):
         # independent metric: explicit norm per candidate
         rng = np.random.default_rng(17)
-        n0 = 0.5
-        for _ in range(1000):
-            w = int(rng.integers(1 << ospm422.f))
-            ch = draw_block_channel(rng, 4, n0)
-            y = transmit_block(w, ospm422) * ch.h + ch.noise
-            metrics = [
-                np.linalg.norm(y - c * ch.h) ** 2 for c in ospm422.codewords
-            ]
-            assert ml_detect(y, ch.h, ospm422) == int(np.argmin(metrics))
+        X = ospm422.codewords
+        w = rng.integers(1 << ospm422.f, size=1000)
+        h, noise = _draw_channel(rng, 1000, 4, 0.5)
+        y = X[w] * h + noise
+        metrics = np.linalg.norm(y[:, None, :] - X[None, :, :] * h[:, None, :], axis=2) ** 2
+        assert (_detect_batch(y, h, X, 1.0) == np.argmin(metrics, axis=1)).all()
 
     def test_block_error_rate_bracket_at_0db(self, ospm422):
         cfg = SimConfig(scheme=ospm422, snr_db_grid=(0.0,), min_bit_errors=100,
@@ -123,6 +118,14 @@ class TestBerLoop:
         a = simulate_ber(SimConfig(master_seed=1, **base))
         b = simulate_ber(SimConfig(master_seed=2, **base))
         assert a.points[0].bit_errors != b.points[0].bit_errors
+
+    def test_block_budget_below_one_batch_rejected(self):
+        scheme = build_scheme("ofdm", 1, m=2)
+        with pytest.raises(ValueError):
+            SimConfig(scheme=scheme, snr_db_grid=(10.0,), max_blocks=BATCH_BLOCKS - 1)
+        cfg = SimConfig(scheme=scheme, snr_db_grid=(10.0,), min_bit_errors=10**9,
+                        max_blocks=BATCH_BLOCKS, master_seed=3)
+        assert simulate_ber(cfg).points[0].blocks == BATCH_BLOCKS
 
     def test_block_counts_are_whole_batches(self):
         scheme = build_scheme("ofdm", 1, m=2)
