@@ -5,7 +5,8 @@ The fading-averaged PEP uses the two-exponential Q approximation
 Q(x) ~ exp(-x^2/2)/12 + exp(-2x^2/3)/4, which turns the average over
 Rayleigh fading into two determinants; with uncorrelated fading (the
 shipped simulator's model) the determinants reduce to products over the
-diagonal of Z_ij = (X_i - X_j)^H (X_i - X_j).
+diagonal of Z_ij = (X_i - X_j)^H (X_i - X_j). The union bound assumes
+uncorrelated fading; pep_unconditional also takes a correlation matrix.
 """
 
 import math
@@ -90,14 +91,11 @@ class BoundResult:
     exact: bool
 
 
-def union_bound_ber(
-    codewords: np.ndarray,
-    es_over_n0: float,
-    corr: np.ndarray | None = None,
-) -> BoundResult:
-    """Union bound on BER: (1 / (f 2^f)) sum_{i,j} PEP(i->j) D(i,j), where
-    D is the Hamming distance between the f-bit words i and j (the codeword
-    row index is the transmitted word). Every ordered pair is enumerated.
+def union_bound_ber(codewords: np.ndarray, es_over_n0: float) -> BoundResult:
+    """Union bound on BER under uncorrelated fading:
+    (1 / (f 2^f)) sum_{i,j} PEP(i->j) D(i,j), where D is the Hamming
+    distance between the f-bit words i and j (the codeword row index is the
+    transmitted word). Every ordered pair is enumerated.
     """
     X = np.asarray(codewords)
     J, n = X.shape
@@ -112,13 +110,7 @@ def union_bound_ber(
     for lo in range(0, J, chunk):
         hi = min(J, lo + chunk)
         z = np.abs(X[lo:hi, None, :] - X[None, :, :]) ** 2  # (ci, J, n)
-        if corr is None:
-            pep = _pep_diagonal(z, g)
-        else:
-            pep = np.empty((hi - lo, J))
-            for a in range(hi - lo):
-                for b in range(J):
-                    pep[a, b] = pep_unconditional(z[a, b], g, corr)
+        pep = _pep_diagonal(z, g)
         d = np.bitwise_count(words[lo:hi, None] ^ words[None, :]).astype(float)
         partials.append(float((pep * d).sum()))  # i == j pairs carry D = 0
     total = math.fsum(partials)

@@ -15,10 +15,10 @@ import hashlib
 import math
 import os
 import sys
+import time
 
 from . import __version__
 from . import analysis, codebook, selection, simulation
-from .combinatorics import optimal_k, optimal_k_ordered
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -124,20 +124,12 @@ def _require(cfg, *keys):
         raise ConfigError(f"missing required config key(s): {', '.join(missing)}")
 
 
-def _resolve_k(variant, n, k):
-    """k as configured, with k=auto replaced by the rate-maximizing count."""
-    if k == "auto":
-        variant = codebook.canonical_variant(variant)
-        return optimal_k_ordered(n) if variant == "ospm" else optimal_k(n).argmax
-    return k
-
-
 def _scheme_from_config(cfg):
     _require(cfg, "variant", "n")
     return codebook.build_scheme(
         cfg["variant"],
         cfg["n"],
-        k=_resolve_k(cfg["variant"], cfg["n"], cfg.get("k")),
+        k=cfg.get("k"),
         m=cfg["m"],
         d=cfg.get("d"),
         n_active=cfg.get("n_active"),
@@ -181,29 +173,27 @@ def _write(path, cfg, body_lines, verbose):
         print(f"wrote {path}", file=sys.stderr)
 
 
+_RATE_HEADER = "variant,N,K,M,f1,f2,rate,raw_rate"
+
+
+def _rate_row(fig, K, m):
+    return f"{fig.variant},{fig.n},{K},{m},{fig.f1},{fig.f2},{fig.rate:.9g},{fig.raw_rate:.9g}"
+
+
 def cmd_codebook(cfg, args):
     scheme = _scheme_from_config(cfg)
     dmin, dmin_rl, min_rank = codebook.codebook_dmin(scheme.codewords)
     usable = len(scheme.book.patterns)
     figures = codebook.rate(
-        scheme.book.variant, scheme.n,
-        k=_resolve_k(cfg["variant"], cfg["n"], cfg.get("k")), m=cfg["m"],
+        scheme.book.variant, scheme.n, k=cfg.get("k"), m=cfg["m"],
         d=cfg.get("d"), n_active=cfg.get("n_active"),
         usable_patterns=usable if cfg["selection"] != "none" else None,
     )
     out = _out_path(cfg, args, "codebook")
     export = codebook.export_codebook(scheme.book, m=cfg["m"])
     _write(out, cfg, export.rstrip("\n").splitlines(), args.verbose)
-    rates_path = out + ".rates.csv"
-    _write(
-        rates_path, cfg,
-        [
-            "variant,N,K,M,f1,f2,rate,raw_rate",
-            f"{figures.variant},{figures.n},{scheme.book.k},{cfg['m']},"
-            f"{figures.f1},{figures.f2},{figures.rate:.9g},{figures.raw_rate:.9g}",
-        ],
-        args.verbose,
-    )
+    _write(out + ".rates.csv", cfg,
+           [_RATE_HEADER, _rate_row(figures, figures.k, cfg["m"])], args.verbose)
     print(
         f"{scheme.name}: patterns={usable} f1={scheme.f1} f2={scheme.f2} "
         f"rate={scheme.rate_bits_per_subcarrier:.9g} d_min={dmin:.6g} "
@@ -225,14 +215,17 @@ def cmd_select(cfg, args):
     else:
         _require(cfg, "variant", "n")
         book = codebook.build_index_codebook(
-            cfg["variant"], cfg["n"],
-            k=_resolve_k(cfg["variant"], cfg["n"], cfg.get("k")), d=cfg.get("d"),
+            cfg["variant"], cfg["n"], k=cfg.get("k"), d=cfg.get("d"),
             n_active=cfg.get("n_active"),
         )
         graph = selection.build_hamming_graph(book.patterns)
     algos = [a.strip() for a in cfg["algorithms"].split(",") if a.strip()]
     rows = ["algorithm,size,bound,elapsed_ms,indices"]
     status = EXIT_OK
+    # the O(L^3) eigenvalue solve is its own stage; the solvers reuse it
+    t0 = time.perf_counter()
+    bound = selection.clique_upper_bound(graph)
+    print(f"eigenvalue bound: {bound} elapsed={(time.perf_counter() - t0) * 1e3:.3f} ms")
     for algo in algos:
         res = selection.solve(graph, algo, budget=cfg.get("budget"),
                               time_budget=cfg.get("time_budget", 60.0))
@@ -296,39 +289,40 @@ def cmd_rate(cfg, args):
         _require(cfg, "n")
         n_range = [cfg["n"]]
     with_asym = cfg["asymptotes"]
-    rows = ["variant,N,K,M,f1,f2,rate,raw_rate" + (",asymptote" if with_asym else "")]
+    rows = [_RATE_HEADER + (",asymptote" if with_asym else "")]
+    rejected = None
     for v in variants:
-        vc = codebook.canonical_variant(v)
+        v = codebook.canonical_variant(v)  # an unknown name is an error, not a skip
         for n in n_range:
-            k = d = n_active = None
-            if vc in ("spm", "ospm"):
-                k = _resolve_k(vc, n, cfg.get("k", "auto"))
-            elif vc == "mm":
-                k = n
-            elif vc == "dm":
-                d = cfg.get("d", n // 2)
-            elif vc == "ofdm-im":
-                _require(cfg, "n_active")
-                n_active = cfg["n_active"]
             try:
-                fig = codebook.rate(vc, n, k=k, m=cfg["m"], d=d, n_active=n_active)
-            except ValueError:
-                continue  # e.g. k > n early in a sweep
-            row = (
-                f"{vc},{n},{k if k is not None else '-'},{cfg['m']},"
-                f"{fig.f1},{fig.f2},{fig.rate:.9g},{fig.raw_rate:.9g}"
-            )
+                fig = codebook.rate(v, n, k=cfg.get("k", "auto"), m=cfg["m"],
+                                    d=cfg.get("d"), n_active=cfg.get("n_active"))
+            except codebook._MissingParameter as e:
+                raise ConfigError(str(e)) from None
+            except ValueError as e:  # e.g. k > n early in a sweep
+                rejected = rejected or e
+                continue
+            K = fig.k if fig.variant in ("spm", "ospm", "mm") else "-"
+            row = _rate_row(fig, K, cfg["m"])
             if with_asym:
-                if vc in ("spm", "ospm") and cfg.get("k", "auto") != "auto":
-                    asym = f"{codebook.asymptotic_rate(vc, k, cfg['m']):.9g}"
-                elif vc in ("spm", "ospm", "fspm", "ofspm") and n > 1:
-                    asym = f"{codebook.asymptotic_max_rate(vc, n, cfg['m']):.9g}"
-                else:
-                    asym = ""
-                row += f",{asym}"
+                row += "," + _asymptote(fig, cfg["m"], cfg.get("k", "auto") != "auto")
             rows.append(row)
+    if rejected is not None and len(rows) == 1:
+        raise rejected
     _write(_out_path(cfg, args, "rate"), cfg, rows, args.verbose)
     return EXIT_OK
+
+
+def _asymptote(fig, m, fixed_k):
+    """The fixed-k limit where k is configured and the variant has one,
+    else the max-rate limit where defined, else blank."""
+    limits = [(codebook.asymptotic_rate, fig.k)] if fixed_k else []
+    for limit, size in limits + [(codebook.asymptotic_max_rate, fig.n)]:
+        try:
+            return f"{limit(fig.variant, size, m):.9g}"
+        except ValueError:
+            pass
+    return ""
 
 
 def cmd_rate_mc(cfg, args):

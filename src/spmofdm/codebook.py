@@ -20,12 +20,13 @@ the constellation assigned to that subcarrier's label.
 
 import itertools
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import combinatorics as comb
-from .combinatorics import floor_log2
+from .combinatorics import floor_log2, optimal_k, optimal_k_ordered
 from .constellations import ConstellationFamily, psk_family, qam_family
 
 __all__ = [
@@ -77,94 +78,82 @@ class IndexCodebook:
         return floor_log2(len(self.patterns))
 
 
-def _im_patterns(n, chosen_label, other_label, subset_size):
-    """Patterns with chosen_label on each lex combination of subset_size
-    positions and other_label elsewhere."""
-    out = []
-    for pos in itertools.combinations(range(n), subset_size):
-        pat = [other_label] * n
-        for p in pos:
-            pat[p] = chosen_label
-        out.append(tuple(pat))
-    return out
+def _im_patterns(n, size):
+    """Label 0 on each lexicographic size-subset of positions, 1 elsewhere."""
+    for pos in itertools.combinations(range(n), size):
+        yield tuple(0 if i in pos else 1 for i in range(n))
+
+
+class _MissingParameter(ValueError):
+    """A variant's required parameter was not given."""
+
+
+@dataclass(frozen=True)
+class _Variant:
+    name: str  # canonical
+    k: int  # label count
+    count: int  # exact pattern count
+    patterns: Callable[[], Iterable[tuple[int, ...]]]  # lazy, documented order
+    active: int  # subcarriers carrying a data symbol
+    params: tuple[int, ...] = ()  # the scheme name's entries between n and m
+
+
+def _variant(variant, n, k=None, d=None, n_active=None) -> _Variant:
+    """The one table of variant rules: canonical name, k=auto (spm/ospm:
+    rate-maximizing block count, mm: n; other variants ignore k), checks
+    and defaults, and side by side each variant's label count, exact
+    pattern count and pattern enumeration in its documented order."""
+    v = canonical_variant(variant)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if v in ("spm", "ospm"):
+        if k == "auto":
+            k = optimal_k(n).argmax if v == "spm" else optimal_k_ordered(n)
+        if k is None:
+            raise _MissingParameter(f"{v} requires k")
+    if v == "spm":  # stirling2 checks 1 <= k <= n
+        return _Variant(v, k, comb.stirling2(n, k),
+                        lambda: comb.enumerate_partitions(n, k), n, (k,))
+    if v == "ospm":
+        return _Variant(v, k, math.factorial(k) * comb.stirling2(n, k),
+                        lambda: comb.enumerate_ordered_partitions(n, k), n, (k,))
+    if v == "fspm":
+        return _Variant(v, n, comb.bell(n), lambda: (
+            p for kk in range(1, n + 1) for p in comb.enumerate_partitions(n, kk)), n)
+    if v == "ofspm":
+        return _Variant(v, n, comb.ordered_bell(n), lambda: (
+            p for kk in range(1, n + 1) for p in comb.enumerate_ordered_partitions(n, kk)), n)
+    if v == "mm":
+        if k not in (None, "auto", n):
+            raise ValueError(f"mm requires k = n, got k={k}, n={n}")
+        return _Variant(v, n, math.factorial(n), lambda: itertools.permutations(range(n)), n)
+    if v == "dm":
+        d = n // 2 if d is None else d
+        if not 1 <= d <= n - 1:
+            raise ValueError(f"dm requires 1 <= d <= n-1, got d={d}")
+        return _Variant(v, 2, math.comb(n, d), lambda: _im_patterns(n, d), n, (d,))
+    if v == "gdm":
+        return _Variant(v, 2, 1 << n, lambda: itertools.product((0, 1), repeat=n), n)
+    if v == "ofdm-im":  # label 0 = data constellation, label 1 = reserved null
+        if n_active is None:
+            raise _MissingParameter("ofdm-im requires n_active")
+        if not 1 <= n_active <= n:
+            raise ValueError(f"need 1 <= n_active <= n, got {n_active}")
+        return _Variant(v, 2, math.comb(n, n_active),
+                        lambda: _im_patterns(n, n_active), n_active, (n_active,))
+    return _Variant(v, 1, 1, lambda: [(0,) * n], n)  # ofdm
 
 
 def build_index_codebook(variant, n, k=None, d=None, n_active=None) -> IndexCodebook:
     """Construct the full (unselected) pattern list for a variant, in the
     deterministic enumeration order documented per variant."""
-    v = canonical_variant(variant)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-
-    if v == "spm":
-        if k is None:
-            raise ValueError("spm requires k")
-        pats = tuple(comb.enumerate_partitions(n, k))
-    elif v == "ospm":
-        if k is None:
-            raise ValueError("ospm requires k")
-        pats = tuple(comb.enumerate_ordered_partitions(n, k))
-    elif v == "fspm":
-        k = n
-        pats = tuple(
-            p for kk in range(1, n + 1) for p in comb.enumerate_partitions(n, kk)
-        )
-    elif v == "ofspm":
-        k = n
-        pats = tuple(
-            p for kk in range(1, n + 1) for p in comb.enumerate_ordered_partitions(n, kk)
-        )
-    elif v == "mm":
-        if k is not None and k != n:
-            raise ValueError(f"mm requires k = n, got k={k}, n={n}")
-        k = n
-        pats = tuple(itertools.permutations(range(n)))
-    elif v == "dm":
-        if d is None:
-            d = n // 2
-        if not 1 <= d <= n - 1:
-            raise ValueError(f"dm requires 1 <= d <= n-1, got d={d}")
-        k = 2
-        pats = tuple(_im_patterns(n, 0, 1, d))
-    elif v == "gdm":
-        k = 2
-        pats = tuple(
-            tuple((w >> (n - 1 - i)) & 1 for i in range(n)) for w in range(1 << n)
-        )
-    elif v == "ofdm-im":
-        if n_active is None:
-            raise ValueError("ofdm-im requires n_active")
-        if not 1 <= n_active <= n:
-            raise ValueError(f"need 1 <= n_active <= n, got {n_active}")
-        k = 2  # label 0 = data constellation, label 1 = reserved null
-        pats = tuple(_im_patterns(n, 0, 1, n_active))
-    else:  # ofdm
-        k = 1
-        pats = ((0,) * n,)
-
-    return IndexCodebook(variant=v, n=n, k=k, patterns=pats)
+    spec = _variant(variant, n, k, d, n_active)
+    return IndexCodebook(variant=spec.name, n=n, k=spec.k, patterns=tuple(spec.patterns()))
 
 
 def pattern_count(variant, n, k=None, d=None, n_active=None) -> int:
     """Exact size of the full pattern list, without enumerating it."""
-    v = canonical_variant(variant)
-    if v == "spm":
-        return comb.stirling2(n, k)
-    if v == "ospm":
-        return math.factorial(k) * comb.stirling2(n, k)
-    if v == "fspm":
-        return comb.bell(n)
-    if v == "ofspm":
-        return comb.ordered_bell(n)
-    if v == "mm":
-        return math.factorial(n)
-    if v == "dm":
-        return math.comb(n, d if d is not None else n // 2)
-    if v == "gdm":
-        return 1 << n
-    if v == "ofdm-im":
-        return math.comb(n, n_active)
-    return 1  # ofdm
+    return _variant(variant, n, k, d, n_active).count
 
 
 def _widths(pattern, family: ConstellationFamily):
@@ -289,6 +278,7 @@ def codebook_dmin(codewords: np.ndarray) -> tuple[float, float, int]:
 class RateFigures:
     variant: str
     n: int
+    k: int  # label count, k=auto resolved
     f1: int
     f2: int
     count: int  # full pattern count (exact)
@@ -311,16 +301,14 @@ def rate(variant, n, k=None, m=2, d=None, n_active=None, usable_patterns=None) -
     replaces the full count in the floored f1 term; raw_rate always uses
     the full count.
     """
-    v = canonical_variant(variant)
+    spec = _variant(variant, n, k, d, n_active)
     if m < 1 or (m & (m - 1)) != 0:
         raise ValueError(f"m must be a power of two, got {m}")
-    count = pattern_count(v, n, k=k, d=d, n_active=n_active)
-    usable = count if usable_patterns is None else usable_patterns
-    if not 1 <= usable <= count:
-        raise ValueError(f"usable_patterns must be in [1, {count}], got {usable}")
-    bits_per_symbol = int(math.log2(m))
-    f2 = (n_active if v == "ofdm-im" else n) * bits_per_symbol
-    return RateFigures(variant=v, n=n, f1=floor_log2(usable), f2=f2, count=count)
+    usable = spec.count if usable_patterns is None else usable_patterns
+    if not 1 <= usable <= spec.count:
+        raise ValueError(f"usable_patterns must be in [1, {spec.count}], got {usable}")
+    return RateFigures(variant=spec.name, n=n, k=spec.k, f1=floor_log2(usable),
+                       f2=spec.active * int(math.log2(m)), count=spec.count)
 
 
 _LOG2_E = math.log2(math.e)
@@ -335,8 +323,10 @@ def asymptotic_rate(variant, k, m) -> float:
 
 
 def asymptotic_max_rate(variant, n, m) -> float:
-    """Asymptotic rate at the rate-maximizing block count."""
+    """Asymptotic rate at the rate-maximizing block count (n >= 2)."""
     v = canonical_variant(variant)
+    if n < 2:
+        raise ValueError(f"no asymptote defined for n={n}")
     if v in ("spm", "fspm"):
         return math.log2(n / math.log(n)) + math.log2(m) - _LOG2_E
     if v in ("ospm", "ofspm"):
@@ -387,12 +377,11 @@ def build_scheme(
     """
     from . import selection as sel  # local import; selection is graph-only
 
-    v = canonical_variant(variant)
-    book = build_index_codebook(v, n, k=k, d=d, n_active=n_active)
+    spec = _variant(variant, n, k, d, n_active)
+    v = spec.name
+    book = IndexCodebook(variant=v, n=n, k=spec.k, patterns=tuple(spec.patterns()))
 
     if selection != "none":
-        if v in ("ofdm",):
-            raise ValueError("selection is meaningless for plain ofdm")
         graph = sel.build_hamming_graph(book.patterns)
         res = sel.solve(graph, selection, budget=budget, time_budget=time_budget)
         if not res.conclusive:
@@ -404,7 +393,7 @@ def build_scheme(
         raise ValueError("pad_to only applies together with selection")
 
     if v == "ofdm-im":
-        family = _im_family(m, n, n_active)
+        family = _im_family(m, n, spec.active)
     else:
         k_needed = max(max(p) for p in book.patterns) + 1
         if constellation == "psk":
@@ -422,15 +411,7 @@ def build_scheme(
             raise ValueError(f"unknown constellation {constellation!r}")
 
     if name is None:
-        bits = [str(n)]
-        if v in ("spm", "ospm"):
-            bits.append(str(k))
-        if v == "ofdm-im":
-            bits.append(str(n_active))
-        if v == "dm":
-            bits.append(str(d if d is not None else n // 2))
-        bits.append(str(m))
-        name = f"{v}({','.join(bits)})"
+        name = f"{v}({','.join(str(x) for x in (n, *spec.params, m))})"
     return assemble_scheme(name, book, family)
 
 

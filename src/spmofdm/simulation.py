@@ -68,21 +68,20 @@ class SimConfig:
             raise ValueError(f"max_blocks must be >= {BATCH_BLOCKS} (one batch)")
 
 
-def _detect_batch(y, h, codewords, es):
-    """ML decision for a batch: argmin_j ||y - sqrt(es) c_j o h||^2, ties to
-    the lowest index. The |y|^2 term is constant per block and dropped."""
+def _detect_batch(y, h, codewords):
+    """ML decision for a batch: argmin_j ||y - c_j o h||^2, ties to the
+    lowest index. The |y|^2 term is constant per block and dropped."""
     J = codewords.shape[0]
     B = y.shape[0]
     cc = np.abs(codewords) ** 2  # (J, n)
     out = np.empty(B, dtype=np.int64)
     rows = max(1, (1 << 21) // J)
-    root_es = math.sqrt(es)
     for lo in range(0, B, rows):
         hi = min(B, lo + rows)
         w = np.conj(y[lo:hi]) * h[lo:hi]  # (b, n)
         cross = (w @ codewords.T).real  # (b, J)
-        power = (np.abs(h[lo:hi]) ** 2) @ cc.T  # (b, J)
-        metric = es * power - 2.0 * root_es * cross
+        metric = (np.abs(h[lo:hi]) ** 2) @ cc.T  # (b, J) power term
+        metric -= 2.0 * cross  # in place: one (b, J) temporary fewer
         out[lo:hi] = np.argmin(metric, axis=1)
     return out
 
@@ -129,7 +128,7 @@ def _draw_channel(gen, B, n, n0):
     return h, noise
 
 
-def _ber_batch(scheme, snr_index, batch_index, n0, seed, es=1.0):
+def _ber_batch(scheme, snr_index, batch_index, n0, seed):
     """Simulate one batch; returns integer error counters.
 
     Channel and noise are drawn before the data bits, so two schemes with
@@ -142,9 +141,8 @@ def _ber_batch(scheme, snr_index, batch_index, n0, seed, es=1.0):
     B = BATCH_BLOCKS
     h, noise = _draw_channel(gen, B, n, n0)
     bits = gen.integers(0, 1 << f, size=B, dtype=np.uint64)
-    tx = scheme.codewords[bits]
-    y = math.sqrt(es) * tx * h + noise
-    det = _detect_batch(y, h, scheme.codewords, es).astype(np.uint64)
+    y = scheme.codewords[bits] * h + noise
+    det = _detect_batch(y, h, scheme.codewords).astype(np.uint64)
     x = bits ^ det
     total = int(np.bitwise_count(x).sum())
     idx_err = int(np.bitwise_count(x >> np.uint64(f2)).sum())

@@ -78,11 +78,9 @@ def graphs():
 
 @pytest.fixture(scope="module")
 def spectra(graphs):
-    """Adjacency eigenvalues of each graph, solved once for 3a and 3b."""
-    return {
-        name: np.linalg.eigvalsh(g.adjacency.astype(np.float64))
-        for name, g in graphs.items()
-    }
+    """Adjacency eigenvalues of each graph, solved once for 3a and 3b (the
+    graph caches them, so clique_upper_bound reuses the same solve)."""
+    return {name: g.eigenvalues for name, g in graphs.items()}
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,11 @@
 """End-to-end CLI runs over temp config files."""
 
+import glob
 import os
 
 import pytest
 
+from spmofdm.codebook import _variant
 from spmofdm.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
@@ -11,6 +13,13 @@ from spmofdm.cli import (
     EXIT_OK,
     load_config,
     main,
+)
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+COMMITTED_CONFIGS = sorted(
+    os.path.relpath(p, CONFIG_DIR)
+    for p in glob.glob(os.path.join(CONFIG_DIR, "**", "*.cfg"), recursive=True)
 )
 
 
@@ -79,6 +88,11 @@ class TestCodebookCommand:
         assert run("codebook", p, tmp_path / "o.txt") == EXIT_OK
         assert "patterns=32" in capsys.readouterr().out
 
+    def test_mm_k_auto(self, tmp_path, capsys):
+        p = write_cfg(tmp_path, "c.cfg", "variant=mm\nn=4\nk=auto\nm=2\n")
+        assert run("codebook", p, tmp_path / "mm.txt") == EXIT_OK
+        assert "f1=4" in capsys.readouterr().out
+
 
 class TestSelectCommand:
     def test_all_algorithms(self, tmp_path):
@@ -90,6 +104,13 @@ class TestSelectCommand:
         assert lines[0] == "algorithm,size,bound,elapsed_ms,indices"
         sizes = {row.split(",")[0]: int(row.split(",")[1]) for row in lines[1:]}
         assert sizes == {"alg1": 8, "alg2": 8, "exact": 8}
+
+    def test_bound_stage_line(self, tmp_path, capsys):
+        p = write_cfg(tmp_path, "s.cfg", "variant=ospm\nn=4\nk=2\nalgorithms=alg2\n")
+        assert run("select", p, tmp_path / "sel.csv") == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("eigenvalue bound: 10 elapsed=")
+        assert lines[1].startswith("alg2: size=8 bound=10 ")
 
     def test_budget_exhaustion_exit(self, tmp_path):
         p = write_cfg(tmp_path, "s.cfg",
@@ -226,6 +247,33 @@ class TestRateCommands:
         row = [l for l in out.read_text().splitlines() if not l.startswith("#")][1]
         assert row.startswith("ofspm,4,")
 
+    def test_rejected_rows_skipped(self, tmp_path):
+        # mm takes k = n, so k=3 keeps only its n=3 row, as codebook would
+        p = write_cfg(tmp_path, "r.cfg",
+                      "variants=spm,mm\nk=3\nm=1\nn_start=2\nn_stop=4\n")
+        out = tmp_path / "r.csv"
+        assert run("rate", p, out) == EXIT_OK
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        assert [r.split(",")[:3] for r in rows] == [
+            ["spm", "3", "3"], ["spm", "4", "3"], ["mm", "3", "3"]]
+
+    @pytest.mark.parametrize("text", [
+        "variants=dm\nd=0\nn=4\n",
+        "variants=dm,ofdm-im\nd=0\nn_active=0\nn=4\n",
+        "variant=spm\nk=2\nm=3\nn=4\n",
+    ])
+    def test_all_rows_rejected(self, tmp_path, capsys, text):
+        p = write_cfg(tmp_path, "r.cfg", text)
+        out = tmp_path / "r.csv"
+        assert run("rate", p, out) == EXIT_CONFIG
+        assert not out.exists()
+        assert "config error:" in capsys.readouterr().err
+
+    def test_missing_required_key(self, tmp_path, capsys):
+        p = write_cfg(tmp_path, "r.cfg", "variants=spm,ofdm-im\nk=2\nn=4\n")
+        assert run("rate", p, tmp_path / "r.csv") == EXIT_CONFIG
+        assert "n_active" in capsys.readouterr().err
+
     def test_rate_mc(self, tmp_path):
         p = write_cfg(
             tmp_path, "rm.cfg",
@@ -238,3 +286,20 @@ class TestRateCommands:
         assert lines[0] == "snr_db,rate,stderr,draws"
         rate_val = float(lines[1].split(",")[1])
         assert abs(rate_val - 1.5) < 0.01  # saturated at f/N = 6/4
+
+
+class TestCommittedConfigs:
+    def test_found(self):
+        assert len(COMMITTED_CONFIGS) >= 30
+
+    @pytest.mark.parametrize("name", COMMITTED_CONFIGS)
+    def test_loads_and_resolves(self, name):
+        cfg = load_config(os.path.join(CONFIG_DIR, name))
+        variants = cfg["variants"].split(",") if "variants" in cfg else [cfg["variant"]]
+        if "n_start" in cfg:
+            ns = range(cfg["n_start"], cfg["n_stop"] + 1)
+        else:
+            ns = [cfg["n"]]
+        for v in variants:
+            for n in ns:
+                _variant(v, n, cfg.get("k"), cfg.get("d"), cfg.get("n_active"))

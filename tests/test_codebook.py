@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from spmofdm.codebook import (
+    VARIANTS,
     IndexCodebook,
     asymptotic_max_rate,
     asymptotic_rate,
@@ -21,7 +22,13 @@ from spmofdm.codebook import (
     rate,
     restrict,
 )
-from spmofdm.combinatorics import bell, ordered_bell, stirling2
+from spmofdm.combinatorics import (
+    bell,
+    optimal_k,
+    optimal_k_ordered,
+    ordered_bell,
+    stirling2,
+)
 from spmofdm.constellations import psk_family
 from spmofdm.selection import build_hamming_graph, is_clique
 
@@ -100,6 +107,45 @@ class TestBuild:
             build_index_codebook("dm", 4, d=4)
         with pytest.raises(ValueError):
             build_index_codebook("ofdm-im", 4)
+
+
+class TestVariantRules:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_count_and_rate_agree_with_build(self, variant):
+        # pattern_count and rate reject exactly what build_index_codebook
+        # rejects, and otherwise count its patterns
+        for n in range(1, 7):
+            for k, d, n_active in itertools.product(
+                (None, "auto", 0, 2, 3, n, n + 1), (None, 0, 1, n), (None, 0, 2, n + 1)
+            ):
+                kw = dict(k=k, d=d, n_active=n_active)
+                try:
+                    book = build_index_codebook(variant, n, **kw)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        pattern_count(variant, n, **kw)
+                    with pytest.raises(ValueError):
+                        rate(variant, n, **kw)
+                    continue
+                assert pattern_count(variant, n, **kw) == len(book.patterns), kw
+                assert len(set(book.patterns)) == len(book.patterns)
+                fig = rate(variant, n, **kw)
+                assert (fig.count, fig.k) == (len(book.patterns), book.k), kw
+
+    def test_k_auto(self):
+        for n in range(1, 9):
+            assert build_index_codebook("spm", n, k="auto").k == optimal_k(n).argmax
+            assert build_index_codebook("ospm", n, k="auto").k == optimal_k_ordered(n)
+            assert build_index_codebook("mm", n, k="auto").k == n
+
+    def test_mm_k_auto_builds_scheme(self):
+        scheme = build_scheme("mm", 4, k="auto")
+        assert scheme.name == "mm(4,2)" and scheme.f1 == 4
+
+    def test_scheme_names_carry_defaults(self):
+        assert build_scheme("dm", 4).name == "dm(4,2,2)"
+        assert build_scheme("spm", 4, k="auto").name == "spm(4,2,2)"
+        assert build_scheme("ofdm-im", 4, n_active=3, m=4).name == "ofdm-im(4,3,4)"
 
 
 class TestContainments:
@@ -268,6 +314,8 @@ class TestRate:
             assert asymptotic_max_rate("ofspm", n, 2) == pytest.approx(
                 asymptotic_max_rate("ospm", n, 2)
             )
+        with pytest.raises(ValueError):  # log(1) = 0: no limit at n = 1
+            asymptotic_max_rate("spm", 1, 2)
 
     def test_index_bits_only_mode(self):
         fig = rate("mm", 4, m=1)

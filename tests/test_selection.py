@@ -8,6 +8,7 @@ published value is checked to lie in the [strict, inclusive] bracket.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -23,9 +24,10 @@ from spmofdm.selection import (
     graph_from_edge_list,
     hamming_distance,
     is_clique,
+    solve,
     vertex_exclusion,
 )
-from spmofdm.combinatorics import floor_log2
+from spmofdm.combinatorics import floor_log2, unrank_combination
 
 TWO_GROUP_PATTERNS = [
     (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0),
@@ -108,6 +110,17 @@ class TestUpperBound:
             hi = int((lam <= -1 + 1e-9).sum()) + 1
             assert lo <= published <= hi
 
+    def test_one_eigenvalue_solve_per_graph(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
+        g = ospm_graph(4)
+        for algo in ("alg1", "alg2", "exact"):
+            assert solve(g, algo).bound == 10
+        assert clique_upper_bound(g) == 10
+        assert len(calls) == 1
+        assert not g.eigenvalues.flags.writeable
+
     def test_algorithm_k_is_convention_independent(self):
         # floor(log2 .) of the bound is what the search uses; it agrees for
         # the published and the inclusive value on every benchmark instance.
@@ -128,6 +141,21 @@ class TestBruteForce:
         res = brute_force_k_clique(g)
         assert res.size == 4 and res.conclusive
         assert is_clique(g, res.indices)
+
+    def test_lowest_rank_clique(self):
+        # the scan returns the first clique of its size in rank order
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            L = int(rng.integers(4, 11))
+            upper = np.triu(rng.random((L, L)) < 0.6, k=1)
+            g = HammingGraph(patterns=None, adjacency=upper | upper.T)
+            res = brute_force_k_clique(g)
+            k = res.size
+            first = next(
+                s for s in (unrank_combination(r, L, k) for r in range(math.comb(L, k)))
+                if is_clique(g, s)
+            )
+            assert res.indices == first
 
     def test_edgeless_returns_single_vertex(self):
         g = build_hamming_graph([(0, 0), (0, 1)])

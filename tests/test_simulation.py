@@ -54,7 +54,7 @@ class TestDetection:
         X = ospm422.codewords
         h = (rng.standard_normal(4) + 1j * rng.standard_normal(4)) / math.sqrt(2)
         H = np.broadcast_to(h, X.shape)
-        det = _detect_batch(X * H, H, X, 1.0)
+        det = _detect_batch(X * H, H, X)
         assert (det == np.arange(1 << ospm422.f)).all()
 
     def test_matches_exhaustive_oracle(self, ospm422):
@@ -65,7 +65,7 @@ class TestDetection:
         h, noise = _draw_channel(rng, 1000, 4, 0.5)
         y = X[w] * h + noise
         metrics = np.linalg.norm(y[:, None, :] - X[None, :, :] * h[:, None, :], axis=2) ** 2
-        assert (_detect_batch(y, h, X, 1.0) == np.argmin(metrics, axis=1)).all()
+        assert (_detect_batch(y, h, X) == np.argmin(metrics, axis=1)).all()
 
     def test_block_error_rate_bracket_at_0db(self, ospm422):
         cfg = SimConfig(scheme=ospm422, snr_db_grid=(0.0,), min_bit_errors=100,
