@@ -4,7 +4,8 @@ Subcommands: codebook, select, ber, bound, rate, rate-mc. Each takes a
 plain key=value config file (one pair per line, # comments) and writes CSV
 with a short provenance header (version, config hash, seed), so re-running
 a config reproduces the output byte for byte. The SPM_SEED environment
-variable overrides the config seed.
+variable overrides the config seed. A set key that names a library
+parameter is passed on as is; an unset key leaves the library default.
 
 Exit codes: 0 success, 2 config error, 3 Monte-Carlo non-convergence,
 4 search budget exhausted.
@@ -12,6 +13,7 @@ Exit codes: 0 success, 2 config error, 3 Monte-Carlo non-convergence,
 
 import argparse
 import hashlib
+import inspect
 import math
 import os
 import sys
@@ -54,8 +56,6 @@ _KEYS = {
     "d": int,
     "n_active": int,
     "constellation": str,
-    "rotation_slots": int,
-    "qam_parent": int,
     "selection": str,
     "pad_to": int,
     "budget": int,
@@ -74,19 +74,15 @@ _KEYS = {
     "output": str,
 }
 
-_DEFAULTS = {
-    "m": 2,
-    "constellation": "psk",
-    "qam_parent": 16,
-    "selection": "none",
-    "seed": 1905,
-    "min_errors": 200,
-    "max_blocks": 10_000_000,
-    "draws": 4096,
+_DEFAULTS = {  # what the CLI itself decides; the library owns every other default
+    "seed": simulation.SimConfig.master_seed,  # for the CSVs' "# seed=" line
+    "algorithms": "alg1,alg2,exact",
     "with_bound": False,
     "asymptotes": False,
-    "algorithms": "alg1,alg2,exact",
 }
+
+# config key -> library parameter, where the two names differ
+_PARAMS = {"scheme": "name", "min_errors": "min_bit_errors", "seed": "master_seed"}
 
 
 def load_config(path):
@@ -124,24 +120,17 @@ def _require(cfg, *keys):
         raise ConfigError(f"missing required config key(s): {', '.join(missing)}")
 
 
+def _call(fn, cfg, *args, **fixed):
+    """fn(*args, **fixed), plus every set config key that names one of fn's
+    other parameters."""
+    params = list(inspect.signature(fn).parameters)[len(args):]
+    named = {_PARAMS.get(key, key): val for key, val in cfg.items()}
+    return fn(*args, **{**{p: named[p] for p in params if p in named}, **fixed})
+
+
 def _scheme_from_config(cfg):
     _require(cfg, "variant", "n")
-    return codebook.build_scheme(
-        cfg["variant"],
-        cfg["n"],
-        k=cfg.get("k"),
-        m=cfg["m"],
-        d=cfg.get("d"),
-        n_active=cfg.get("n_active"),
-        constellation=cfg["constellation"],
-        rotation_slots=cfg.get("rotation_slots"),
-        qam_parent=cfg["qam_parent"],
-        selection=cfg["selection"],
-        pad_to=cfg.get("pad_to"),
-        budget=cfg.get("budget"),
-        time_budget=cfg.get("time_budget", 60.0),
-        name=cfg.get("scheme"),
-    )
+    return _call(codebook.build_scheme, cfg)
 
 
 def _snr_grid(cfg):
@@ -176,24 +165,21 @@ def _write(path, cfg, body_lines, verbose):
 _RATE_HEADER = "variant,N,K,M,f1,f2,rate,raw_rate"
 
 
-def _rate_row(fig, K, m):
-    return f"{fig.variant},{fig.n},{K},{m},{fig.f1},{fig.f2},{fig.rate:.9g},{fig.raw_rate:.9g}"
+def _rate_row(fig):
+    K = fig.k if fig.variant in ("spm", "ospm", "mm") else "-"
+    return f"{fig.variant},{fig.n},{K},{fig.m},{fig.f1},{fig.f2},{fig.rate:.9g},{fig.raw_rate:.9g}"
 
 
 def cmd_codebook(cfg, args):
     scheme = _scheme_from_config(cfg)
     dmin, dmin_rl, min_rank = codebook.codebook_dmin(scheme.codewords)
-    usable = len(scheme.book.patterns)
-    figures = codebook.rate(
-        scheme.book.variant, scheme.n, k=cfg.get("k"), m=cfg["m"],
-        d=cfg.get("d"), n_active=cfg.get("n_active"),
-        usable_patterns=usable if cfg["selection"] != "none" else None,
-    )
+    m, usable = scheme.family.M, len(scheme.book.patterns)
+    figures = _call(codebook.rate, cfg, scheme.book.variant, scheme.n, m=m,
+                    usable_patterns=usable)
     out = _out_path(cfg, args, "codebook")
-    export = codebook.export_codebook(scheme.book, m=cfg["m"])
+    export = codebook.export_codebook(scheme.book, m=m)
     _write(out, cfg, export.rstrip("\n").splitlines(), args.verbose)
-    _write(out + ".rates.csv", cfg,
-           [_RATE_HEADER, _rate_row(figures, figures.k, cfg["m"])], args.verbose)
+    _write(out + ".rates.csv", cfg, [_RATE_HEADER, _rate_row(figures)], args.verbose)
     print(
         f"{scheme.name}: patterns={usable} f1={scheme.f1} f2={scheme.f2} "
         f"rate={scheme.rate_bits_per_subcarrier:.9g} d_min={dmin:.6g} "
@@ -203,6 +189,9 @@ def cmd_codebook(cfg, args):
 
 
 def cmd_select(cfg, args):
+    algos = [a.strip() for a in cfg["algorithms"].split(",") if a.strip()]
+    if not algos:
+        raise ConfigError("algorithms names no solver")
     if "graph" in cfg:  # user-supplied edge list instead of a variant book
         try:
             with open(cfg["graph"], "rb") as fh:
@@ -214,12 +203,8 @@ def cmd_select(cfg, args):
         cfg["_hash"] = hashlib.sha256(cfg["_hash"].encode() + edges).hexdigest()[:12]
     else:
         _require(cfg, "variant", "n")
-        book = codebook.build_index_codebook(
-            cfg["variant"], cfg["n"], k=cfg.get("k"), d=cfg.get("d"),
-            n_active=cfg.get("n_active"),
-        )
+        book = _call(codebook.build_index_codebook, cfg)
         graph = selection.build_hamming_graph(book.patterns)
-    algos = [a.strip() for a in cfg["algorithms"].split(",") if a.strip()]
     rows = ["algorithm,size,bound,elapsed_ms,indices"]
     status = EXIT_OK
     # the O(L^3) eigenvalue solve is its own stage; the solvers reuse it
@@ -227,9 +212,8 @@ def cmd_select(cfg, args):
     bound = selection.clique_upper_bound(graph)
     print(f"eigenvalue bound: {bound} elapsed={(time.perf_counter() - t0) * 1e3:.3f} ms")
     for algo in algos:
-        res = selection.solve(graph, algo, budget=cfg.get("budget"),
-                              time_budget=cfg.get("time_budget", 60.0))
-        if not res.conclusive or res.proven_optimal is False:
+        res = _call(selection.solve, cfg, graph, algo)
+        if not res.settled:
             status = EXIT_BUDGET
         if res.indices and not selection.is_clique(graph, res.indices):
             raise AssertionError(f"{algo} returned a non-clique")
@@ -237,7 +221,7 @@ def cmd_select(cfg, args):
         print(
             f"{algo}: size={res.size} bound={res.bound} "
             f"elapsed={res.elapsed_s * 1e3:.3f} ms"
-            + ("" if res.conclusive else " (budget exhausted)")
+            + ("" if res.settled else " (budget exhausted)")
         )
     _write(_out_path(cfg, args, "select"), cfg, rows, args.verbose)
     return status
@@ -245,11 +229,7 @@ def cmd_select(cfg, args):
 
 def cmd_ber(cfg, args):
     scheme = _scheme_from_config(cfg)
-    sim = simulation.SimConfig(
-        scheme=scheme, snr_db_grid=_snr_grid(cfg),
-        min_bit_errors=cfg["min_errors"], max_blocks=cfg["max_blocks"],
-        master_seed=cfg["seed"],
-    )
+    sim = _call(simulation.SimConfig, cfg, scheme=scheme, snr_db_grid=_snr_grid(cfg))
     report = simulation.simulate_ber(sim, workers=args.workers)
     rows = list(simulation.ber_csv_rows(report))
     if cfg["with_bound"]:
@@ -295,31 +275,29 @@ def cmd_rate(cfg, args):
         v = codebook.canonical_variant(v)  # an unknown name is an error, not a skip
         for n in n_range:
             try:
-                fig = codebook.rate(v, n, k=cfg.get("k", "auto"), m=cfg["m"],
-                                    d=cfg.get("d"), n_active=cfg.get("n_active"))
+                fig = _call(codebook.rate, cfg, v, n)
             except codebook._MissingParameter as e:
                 raise ConfigError(str(e)) from None
             except ValueError as e:  # e.g. k > n early in a sweep
                 rejected = rejected or e
                 continue
-            K = fig.k if fig.variant in ("spm", "ospm", "mm") else "-"
-            row = _rate_row(fig, K, cfg["m"])
+            row = _rate_row(fig)
             if with_asym:
-                row += "," + _asymptote(fig, cfg["m"], cfg.get("k", "auto") != "auto")
+                row += "," + _asymptote(fig, cfg.get("k") not in (None, "auto"))
             rows.append(row)
-    if rejected is not None and len(rows) == 1:
-        raise rejected
+    if len(rows) == 1:  # every row rejected, or an empty variant or n range
+        raise rejected or ConfigError("no (variant, n) pair to tabulate")
     _write(_out_path(cfg, args, "rate"), cfg, rows, args.verbose)
     return EXIT_OK
 
 
-def _asymptote(fig, m, fixed_k):
+def _asymptote(fig, fixed_k):
     """The fixed-k limit where k is configured and the variant has one,
     else the max-rate limit where defined, else blank."""
     limits = [(codebook.asymptotic_rate, fig.k)] if fixed_k else []
     for limit, size in limits + [(codebook.asymptotic_max_rate, fig.n)]:
         try:
-            return f"{limit(fig.variant, size, m):.9g}"
+            return f"{limit(fig.variant, size, fig.m):.9g}"
         except ValueError:
             pass
     return ""
@@ -327,10 +305,8 @@ def _asymptote(fig, m, fixed_k):
 
 def cmd_rate_mc(cfg, args):
     scheme = _scheme_from_config(cfg)
-    sim = simulation.SimConfig(
-        scheme=scheme, snr_db_grid=_snr_grid(cfg), master_seed=cfg["seed"],
-    )
-    report = simulation.estimate_rate(sim, draws=cfg["draws"])
+    sim = _call(simulation.SimConfig, cfg, scheme=scheme, snr_db_grid=_snr_grid(cfg))
+    report = _call(simulation.estimate_rate, cfg, sim)
     _write(_out_path(cfg, args, "rate_mc"), cfg, list(simulation.rate_csv_rows(report)),
            args.verbose)
     for p in report.points:

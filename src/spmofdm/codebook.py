@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import combinatorics as comb
+from . import selection as _sel
 from .combinatorics import floor_log2, optimal_k, optimal_k_ordered
 from .constellations import ConstellationFamily, psk_family, qam_family
 
@@ -279,6 +280,7 @@ class RateFigures:
     variant: str
     n: int
     k: int  # label count, k=auto resolved
+    m: int
     f1: int
     f2: int
     count: int  # full pattern count (exact)
@@ -307,7 +309,7 @@ def rate(variant, n, k=None, m=2, d=None, n_active=None, usable_patterns=None) -
     usable = spec.count if usable_patterns is None else usable_patterns
     if not 1 <= usable <= spec.count:
         raise ValueError(f"usable_patterns must be in [1, {spec.count}], got {usable}")
-    return RateFigures(variant=spec.name, n=n, k=spec.k, f1=floor_log2(usable),
+    return RateFigures(variant=spec.name, n=n, k=spec.k, m=m, f1=floor_log2(usable),
                        f2=spec.active * int(math.log2(m)), count=spec.count)
 
 
@@ -332,6 +334,9 @@ def asymptotic_max_rate(variant, n, m) -> float:
     if v in ("ospm", "ofspm"):
         return math.log2(n) + math.log2(m) - math.log2(math.e * math.log(2))
     raise ValueError(f"no asymptote defined for {variant!r}")
+
+
+_QAM_PARENT = 16  # QAM identifiers are cosets of 16-QAM
 
 
 def _im_family(m: int, n: int, n_active: int) -> ConstellationFamily:
@@ -360,34 +365,30 @@ def build_scheme(
     d=None,
     n_active=None,
     constellation="psk",
-    rotation_slots=None,
-    qam_parent=16,
     selection="none",
     pad_to=None,
     budget=None,
-    time_budget=60.0,
+    time_budget=_sel.TIME_BUDGET_S,
     name=None,
 ) -> Scheme:
     """One-stop construction: codebook, optional clique selection, matching
     constellation family, full expansion.
 
-    PSK rotation slots default to n (one slot per subcarrier, the
-    multi-mode construction); pass rotation_slots explicitly for tighter
-    packings.
+    PSK identifiers are rotated M-PSK with max(n, labels) rotation slots
+    (one slot per subcarrier, the multi-mode construction); QAM
+    identifiers are cosets of 16-QAM. A selection that runs out of its
+    budget, or an exact search that runs out of time, raises
+    BudgetExhausted.
     """
-    from . import selection as sel  # local import; selection is graph-only
-
     spec = _variant(variant, n, k, d, n_active)
     v = spec.name
     book = IndexCodebook(variant=v, n=n, k=spec.k, patterns=tuple(spec.patterns()))
 
     if selection != "none":
-        graph = sel.build_hamming_graph(book.patterns)
-        res = sel.solve(graph, selection, budget=budget, time_budget=time_budget)
-        if not res.conclusive:
-            raise sel.BudgetExhausted(
-                f"brute-force selection exhausted its budget on {v}({n})"
-            )
+        graph = _sel.build_hamming_graph(book.patterns)
+        res = _sel.solve(graph, selection, budget=budget, time_budget=time_budget)
+        if not res.settled:
+            raise _sel.BudgetExhausted(f"{selection} selection on {v}({n}) ran out of budget")
         book = restrict(book, res.indices, pad_to=pad_to)
     elif pad_to is not None:
         raise ValueError("pad_to only applies together with selection")
@@ -397,16 +398,15 @@ def build_scheme(
     else:
         k_needed = max(max(p) for p in book.patterns) + 1
         if constellation == "psk":
-            g = rotation_slots if rotation_slots is not None else max(n, k_needed)
-            family = psk_family(m, k_needed, g)
+            family = psk_family(m, k_needed, max(n, k_needed))
         elif constellation == "qam":
             levels = max(1, math.ceil(math.log2(k_needed))) if k_needed > 1 else 0
-            if qam_parent >> levels != m:
+            if _QAM_PARENT >> levels != m:
                 raise ValueError(
-                    f"{qam_parent}-QAM split {levels} times gives "
-                    f"{qam_parent >> levels}-point members, not m={m}"
+                    f"{_QAM_PARENT}-QAM split {levels} times gives "
+                    f"{_QAM_PARENT >> levels}-point members, not m={m}"
                 )
-            family = _take(qam_family(qam_parent, levels), k_needed)
+            family = _take(qam_family(_QAM_PARENT, levels), k_needed)
         else:
             raise ValueError(f"unknown constellation {constellation!r}")
 

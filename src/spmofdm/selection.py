@@ -40,6 +40,9 @@ __all__ = [
     "clique_result_csv_row",
 ]
 
+# Default wall-clock budget of the exact solver, in seconds.
+TIME_BUDGET_S = 60.0
+
 # Tolerance when counting adjacency eigenvalues "not exceeding -1"; absorbs
 # symmetric-eigensolver rounding on eigenvalues that are exactly -1.
 EIG_TOL = 1e-9
@@ -89,6 +92,12 @@ class CliqueResult:
     @property
     def size(self) -> int:
         return len(self.indices)
+
+    @property
+    def settled(self) -> bool:
+        """The solver finished: no budget ran out, and an exact search
+        proved its clique maximum."""
+        return self.conclusive and self.proven_optimal is not False
 
 
 def hamming_distance(a, b) -> int:
@@ -221,7 +230,7 @@ def _color_sort(P: int, adj_masks):
     return colored, colors
 
 
-def exact_max_clique(graph: HammingGraph, time_budget: float = 60.0) -> CliqueResult:
+def exact_max_clique(graph: HammingGraph, time_budget: float = TIME_BUDGET_S) -> CliqueResult:
     """Exact maximum clique by branch and bound with a greedy-coloring bound
     (bitmask implementation, practical to ~100 vertices). If the time
     budget runs out the best clique found so far is returned with
@@ -285,7 +294,7 @@ def exact_max_clique(graph: HammingGraph, time_budget: float = 60.0) -> CliqueRe
 
 
 def solve(graph: HammingGraph, algorithm: str, budget: int | None = None,
-          time_budget: float = 60.0) -> CliqueResult:
+          time_budget: float = TIME_BUDGET_S) -> CliqueResult:
     """Run one solver by name: alg1 (brute force, capped by budget), alg2
     (vertex exclusion) or exact (capped by time_budget seconds)."""
     if algorithm == "alg1":

@@ -1,16 +1,19 @@
 """End-to-end CLI runs over temp config files."""
 
 import glob
+import inspect
 import os
 
 import pytest
 
+from spmofdm import codebook, selection, simulation
 from spmofdm.codebook import _variant
 from spmofdm.cli import (
     EXIT_BUDGET,
     EXIT_CONFIG,
     EXIT_NONCONVERGED,
     EXIT_OK,
+    _scheme_from_config,
     load_config,
     main,
 )
@@ -33,6 +36,10 @@ def run(command, cfg_path, out_path, *extra):
     return main([command, "--config", cfg_path, "--out", str(out_path), *extra])
 
 
+def without_hash(path):
+    return [l for l in path.read_text().splitlines() if not l.startswith("# config_hash=")]
+
+
 class TestConfigParsing:
     def test_unknown_key_reports_line(self, tmp_path):
         p = write_cfg(tmp_path, "bad.cfg", "variant=spm\nnope=1\n")
@@ -51,7 +58,7 @@ class TestConfigParsing:
         p = write_cfg(tmp_path, "ok.cfg", "variant=spm # trailing\nn=4\nk=2\n")
         cfg = load_config(p)
         assert cfg["variant"] == "spm" and cfg["n"] == 4
-        assert cfg["m"] == 2 and cfg["seed"] == 1905
+        assert cfg["seed"] == 1905
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
         p = write_cfg(tmp_path, "ok.cfg", "variant=spm\nn=4\nk=2\nseed=7\n")
@@ -61,6 +68,56 @@ class TestConfigParsing:
     def test_config_error_exit_code(self, tmp_path):
         p = write_cfg(tmp_path, "bad.cfg", "wat=1\n")
         assert main(["rate", "--config", p]) == EXIT_CONFIG
+
+
+# every key that names a parameter of a library callable the CLI calls
+_ALL_KEYS = (
+    "scheme=probe\nvariant=ospm\nn=4\nk=2\nm=2\nd=1\nn_active=2\n"
+    "constellation=psk\nselection=alg1\npad_to=8\nbudget=100000\ntime_budget=30\n"
+    "algorithms=alg2\nsnr_start=40\nsnr_stop=40\nsnr_step=1\n"
+    "min_errors=10\nmax_blocks=4096\ndraws=64\nseed=3\n"
+)
+
+
+class TestForwarding:
+    @pytest.mark.parametrize("module,name,command", [
+        (codebook, "build_scheme", "rate-mc"),
+        (simulation, "SimConfig", "rate-mc"),
+        (simulation, "estimate_rate", "rate-mc"),
+        (selection, "solve", "select"),
+        (codebook, "build_index_codebook", "select"),
+        (codebook, "rate", "codebook"),
+    ])
+    def test_every_parameter_forwarded(self, tmp_path, monkeypatch, module, name, command):
+        # with every config key set, the library callable receives every one
+        # of its parameters: none is left unreachable from configs
+        real = getattr(module, name)
+        sig = inspect.signature(real)
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(set(sig.bind(*args, **kwargs).arguments))
+            return real(*args, **kwargs)
+
+        spy.__signature__ = sig
+        monkeypatch.setattr(module, name, spy)
+        p = write_cfg(tmp_path, "all.cfg", _ALL_KEYS)
+        assert run(command, p, tmp_path / "out.csv") == EXIT_OK
+        assert seen and all(s == set(sig.parameters) for s in seen), seen
+
+    @pytest.mark.parametrize("command", ["codebook", "ber", "rate-mc"])
+    def test_omitted_keys_take_library_defaults(self, tmp_path, capsys, command):
+        base = "variant=ospm\nn=4\nk=2\nsnr_start=10\nsnr_stop=10\nsnr_step=1\n"
+        spelled = ("m=2\nconstellation=psk\nselection=none\n"
+                   "min_errors=200\nmax_blocks=10000000\ndraws=4096\n")
+        outs = []
+        for i, text in enumerate((base, base + spelled)):
+            out = tmp_path / f"{i}.csv"
+            assert run(command, write_cfg(tmp_path, f"{i}.cfg", text), out) == EXIT_OK
+            rates = tmp_path / f"{i}.csv.rates.csv"
+            outs.append((without_hash(out), rates.exists() and without_hash(rates),
+                         capsys.readouterr().out))
+        assert outs[0] == outs[1]
 
 
 class TestCodebookCommand:
@@ -93,6 +150,23 @@ class TestCodebookCommand:
         assert run("codebook", p, tmp_path / "mm.txt") == EXIT_OK
         assert "f1=4" in capsys.readouterr().out
 
+    def test_exact_timeout_exit(self, tmp_path):
+        p = write_cfg(tmp_path, "c.cfg",
+                      "variant=ofspm\nn=5\nselection=exact\ntime_budget=0.001\n")
+        out = tmp_path / "o.txt"
+        assert run("codebook", p, out) == EXIT_BUDGET
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        "variant=fspm\nn=4\nm=4\n", "variant=ofspm\nn=3\n", "variant=mm\nn=3\n",
+        "variant=ospm\nn=4\nk=2\n", "variant=dm\nn=4\n", "variant=ofdm-im\nn=4\nn_active=3\n",
+    ])
+    def test_rates_row_matches_rate_command(self, tmp_path, text):
+        p = write_cfg(tmp_path, "c.cfg", text)
+        assert run("codebook", p, tmp_path / "o.txt") == EXIT_OK
+        assert run("rate", p, tmp_path / "r.csv") == EXIT_OK
+        assert (tmp_path / "o.txt.rates.csv").read_text() == (tmp_path / "r.csv").read_text()
+
 
 class TestSelectCommand:
     def test_all_algorithms(self, tmp_path):
@@ -116,6 +190,19 @@ class TestSelectCommand:
         p = write_cfg(tmp_path, "s.cfg",
                       "variant=ospm\nn=4\nk=2\nalgorithms=alg1\nbudget=3\n")
         assert run("select", p, tmp_path / "s.csv") == EXIT_BUDGET
+
+    def test_exact_timeout_exit(self, tmp_path, capsys):
+        p = write_cfg(tmp_path, "s.cfg",
+                      "variant=ofspm\nn=5\nalgorithms=exact\ntime_budget=0.001\n")
+        assert run("select", p, tmp_path / "s.csv") == EXIT_BUDGET
+        assert capsys.readouterr().out.splitlines()[1].endswith(" (budget exhausted)")
+
+    def test_no_algorithms(self, tmp_path, capsys):
+        p = write_cfg(tmp_path, "s.cfg", "variant=ospm\nn=4\nk=2\nalgorithms=,\n")
+        out = tmp_path / "s.csv"
+        assert run("select", p, out) == EXIT_CONFIG
+        assert not out.exists()
+        assert capsys.readouterr().out == ""  # no eigenvalue solve either
 
     def test_user_supplied_edge_list(self, tmp_path):
         # triangle 0-1-2 plus a pendant vertex
@@ -269,6 +356,19 @@ class TestRateCommands:
         assert not out.exists()
         assert "config error:" in capsys.readouterr().err
 
+    def test_spm_requires_k(self, tmp_path, capsys):
+        p = write_cfg(tmp_path, "r.cfg", "variant=spm\nn=4\n")
+        out = tmp_path / "r.csv"
+        assert run("rate", p, out) == EXIT_CONFIG
+        assert not out.exists()
+        assert "spm requires k" in capsys.readouterr().err
+
+    def test_empty_n_range(self, tmp_path):
+        p = write_cfg(tmp_path, "r.cfg", "variants=spm\nk=2\nn_start=5\nn_stop=2\n")
+        out = tmp_path / "r.csv"
+        assert run("rate", p, out) == EXIT_CONFIG
+        assert not out.exists()
+
     def test_missing_required_key(self, tmp_path, capsys):
         p = write_cfg(tmp_path, "r.cfg", "variants=spm,ofdm-im\nk=2\nn=4\n")
         assert run("rate", p, tmp_path / "r.csv") == EXIT_CONFIG
@@ -288,6 +388,9 @@ class TestRateCommands:
         assert abs(rate_val - 1.5) < 0.01  # saturated at f/N = 6/4
 
 
+SCHEME_CONFIGS = [c for c in COMMITTED_CONFIGS if c.startswith(("ber_", "rate_mc_"))]
+
+
 class TestCommittedConfigs:
     def test_found(self):
         assert len(COMMITTED_CONFIGS) >= 30
@@ -303,3 +406,10 @@ class TestCommittedConfigs:
         for v in variants:
             for n in ns:
                 _variant(v, n, cfg.get("k"), cfg.get("d"), cfg.get("n_active"))
+
+    @pytest.mark.parametrize("name", SCHEME_CONFIGS)
+    def test_scheme_builds(self, name):
+        cfg = load_config(os.path.join(CONFIG_DIR, name))
+        scheme = _scheme_from_config(cfg)
+        assert scheme.family.M == cfg["m"]
+        assert scheme.codewords.shape == (1 << scheme.f, cfg["n"])

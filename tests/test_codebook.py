@@ -30,7 +30,7 @@ from spmofdm.combinatorics import (
     stirling2,
 )
 from spmofdm.constellations import psk_family
-from spmofdm.selection import build_hamming_graph, is_clique
+from spmofdm.selection import BudgetExhausted, build_hamming_graph, is_clique
 
 
 def partition_signature(labels):
@@ -141,6 +141,11 @@ class TestVariantRules:
     def test_mm_k_auto_builds_scheme(self):
         scheme = build_scheme("mm", 4, k="auto")
         assert scheme.name == "mm(4,2)" and scheme.f1 == 4
+
+    def test_exact_selection_timeout_raises(self):
+        # an unproven clique is no selection: the build stops instead
+        with pytest.raises(BudgetExhausted):
+            build_scheme("ofspm", 4, selection="exact", time_budget=0.0)
 
     def test_scheme_names_carry_defaults(self):
         assert build_scheme("dm", 4).name == "dm(4,2,2)"

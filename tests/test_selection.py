@@ -15,6 +15,7 @@ import pytest
 
 from spmofdm.codebook import build_index_codebook
 from spmofdm.selection import (
+    CliqueResult,
     HammingGraph,
     brute_force_k_clique,
     build_hamming_graph,
@@ -223,6 +224,19 @@ class TestExact:
         g = HammingGraph(None, ~np.eye(1100, dtype=bool))
         res = exact_max_clique(g)
         assert res.size == 1100 and res.proven_optimal
+
+    def test_timeout_is_not_settled(self):
+        res = exact_max_clique(ofspm_graph(4), time_budget=0.0)
+        assert res.proven_optimal is False and not res.settled
+
+
+class TestSettled:
+    @pytest.mark.parametrize("conclusive,proven,settled", [
+        (True, None, True), (True, True, True), (False, None, False), (True, False, False),
+    ])
+    def test_verdict(self, conclusive, proven, settled):
+        res = CliqueResult((), "x", 1, 0.0, conclusive=conclusive, proven_optimal=proven)
+        assert res.settled is settled
 
 
 class TestIsClique:
