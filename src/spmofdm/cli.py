@@ -205,7 +205,7 @@ def cmd_select(cfg, args):
         _require(cfg, "variant", "n")
         book = _call(codebook.build_index_codebook, cfg)
         graph = selection.build_hamming_graph(book.patterns)
-    rows = ["algorithm,size,bound,elapsed_ms,indices"]
+    rows = ["algorithm,size,bound,elapsed_ms,settled,indices"]
     status = EXIT_OK
     # the O(L^3) eigenvalue solve is its own stage; the solvers reuse it
     t0 = time.perf_counter()

@@ -394,6 +394,8 @@ def build_scheme(
         raise ValueError("pad_to only applies together with selection")
 
     if v == "ofdm-im":
+        if constellation != "psk":
+            raise ValueError(f"ofdm-im uses the psk data constellation, not {constellation!r}")
         family = _im_family(m, n, spec.active)
     else:
         k_needed = max(max(p) for p in book.patterns) + 1

@@ -339,4 +339,5 @@ def graph_from_edge_list(text: str) -> HammingGraph:
 
 def clique_result_csv_row(res: CliqueResult) -> str:
     idx = " ".join(str(i) for i in res.indices)
-    return f"{res.algorithm},{res.size},{res.bound},{res.elapsed_s * 1e3:.9g},{idx}"
+    return (f"{res.algorithm},{res.size},{res.bound},{res.elapsed_s * 1e3:.9g},"
+            f"{1 if res.settled else 0},{idx}")

@@ -157,6 +157,15 @@ class TestCodebookCommand:
         assert run("codebook", p, out) == EXIT_BUDGET
         assert not out.exists()
 
+    @pytest.mark.parametrize("constellation", ["bogus", "qam"])
+    def test_ofdm_im_rejects_constellation(self, tmp_path, capsys, constellation):
+        p = write_cfg(tmp_path, "c.cfg", "variant=ofdm-im\nn=4\nn_active=2\nm=4\n"
+                      f"constellation={constellation}\n")
+        out = tmp_path / "o.txt"
+        assert run("codebook", p, out) == EXIT_CONFIG
+        assert not out.exists()
+        assert constellation in capsys.readouterr().err
+
     @pytest.mark.parametrize("text", [
         "variant=fspm\nn=4\nm=4\n", "variant=ofspm\nn=3\n", "variant=mm\nn=3\n",
         "variant=ospm\nn=4\nk=2\n", "variant=dm\nn=4\n", "variant=ofdm-im\nn=4\nn_active=3\n",
@@ -175,7 +184,7 @@ class TestSelectCommand:
         out = tmp_path / "sel.csv"
         assert run("select", p, out) == EXIT_OK
         lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
-        assert lines[0] == "algorithm,size,bound,elapsed_ms,indices"
+        assert lines[0] == "algorithm,size,bound,elapsed_ms,settled,indices"
         sizes = {row.split(",")[0]: int(row.split(",")[1]) for row in lines[1:]}
         assert sizes == {"alg1": 8, "alg2": 8, "exact": 8}
 
@@ -196,6 +205,16 @@ class TestSelectCommand:
                       "variant=ofspm\nn=5\nalgorithms=exact\ntime_budget=0.001\n")
         assert run("select", p, tmp_path / "s.csv") == EXIT_BUDGET
         assert capsys.readouterr().out.splitlines()[1].endswith(" (budget exhausted)")
+
+    def test_unsettled_row_marked(self, tmp_path):
+        p = write_cfg(tmp_path, "s.cfg",
+                      "variant=ofspm\nn=5\nalgorithms=alg2,exact\ntime_budget=0.2\n")
+        out = tmp_path / "s.csv"
+        assert run("select", p, out) == EXIT_BUDGET
+        rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
+        settled = {r[0]: r[4] for r in rows[1:]}
+        assert rows[0][4] == "settled"
+        assert settled == {"alg2": "1", "exact": "0"}
 
     def test_no_algorithms(self, tmp_path, capsys):
         p = write_cfg(tmp_path, "s.cfg", "variant=ospm\nn=4\nk=2\nalgorithms=,\n")

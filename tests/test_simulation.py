@@ -1,19 +1,31 @@
 """Link engine: mapping, detection, BER loop, rate estimator."""
 
+import glob
 import math
+import os
 
 import numpy as np
 import pytest
 
+from spmofdm import simulation
+from spmofdm.cli import _scheme_from_config, load_config
 from spmofdm.codebook import build_scheme, expand_codeword
 from spmofdm.simulation import (
     BATCH_BLOCKS,
     SimConfig,
     _detect_batch,
+    _detect_structured,
     _draw_channel,
+    _stream,
+    _symbol_tables,
     estimate_rate,
     simulate_ber,
+    snr_db_to_n0,
 )
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+BER_CONFIGS = sorted(os.path.relpath(p, CONFIG_DIR)
+                     for p in glob.glob(os.path.join(CONFIG_DIR, "ber_*", "*.cfg")))
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +84,79 @@ class TestDetection:
                         master_seed=9)
         p = simulate_ber(cfg).points[0]
         assert 0.0 < p.ber < 0.5
+
+
+def _structured(y, h, scheme):
+    return _detect_structured(y, h, _symbol_tables(scheme), scheme.f2)
+
+
+class TestStructuredDetection:
+    """The per-subcarrier detector against the exhaustive kernel as oracle."""
+
+    @pytest.fixture(scope="class")
+    def ofspm42(self):
+        return build_scheme("ofspm", 4, m=2, selection="alg2")
+
+    def test_found(self):
+        assert len(BER_CONFIGS) == 17
+
+    @pytest.mark.parametrize("name", BER_CONFIGS)
+    def test_matches_exhaustive_on_committed_configs(self, name):
+        # two Philox batches per SNR, drawn as the BER loop draws them
+        scheme = _scheme_from_config(load_config(os.path.join(CONFIG_DIR, name)))
+        X = scheme.codewords
+        for si, snr_db in enumerate((0.0, 10.0, 20.0)):
+            for bi in range(2):
+                gen = _stream(1905, simulation._TAG_BER, si, bi)
+                h, noise = _draw_channel(gen, BATCH_BLOCKS, scheme.n, snr_db_to_n0(snr_db))
+                bits = gen.integers(0, 1 << scheme.f, size=BATCH_BLOCKS, dtype=np.uint64)
+                y = X[bits] * h + noise
+                assert (_structured(y, h, scheme) == _detect_batch(y, h, X)).all()
+
+    @pytest.mark.parametrize("variant", [
+        dict(variant="ofspm", n=4, m=2, selection="alg2"),
+        dict(variant="ofdm-im", n=4, n_active=3, m=4),
+        dict(variant="mm", n=3, m=4),
+    ])
+    def test_erased_subcarrier_ties_to_lowest(self, variant):
+        # h_i = 0 makes every point on subcarrier i tie exactly; among the
+        # words that match the sent one elsewhere, the lowest must win
+        scheme = build_scheme(**variant)
+        X = scheme.codewords
+        rng = np.random.default_rng(3)
+        sent = rng.integers(1 << scheme.f, size=512)
+        h0, _ = _draw_channel(rng, sent.size, scheme.n, 1.0)
+        for erased in [[i] for i in range(scheme.n)] + [list(range(scheme.n))]:
+            h = h0.copy()
+            h[:, erased] = 0.0
+            y = X[sent] * h  # noiseless
+            keep = [i for i in range(scheme.n) if i not in erased]
+            same = np.isclose(X[None, :, keep], X[sent][:, None, keep]).all(axis=2)
+            expected = same.argmax(axis=1)  # lowest word matching off the erasure
+            assert (_structured(y, h, scheme) == expected).all()
+            assert (_detect_batch(y, h, X) == expected).all()
+        assert (expected == 0).all()  # all erased: word 0
+
+    def test_tiled_equals_untiled(self, ofspm42):
+        P = 1 << ofspm42.f1
+        B = 70_000  # P * B exceeds the 2^21-element tile
+        assert P * B > 1 << 21 > P * (B // 2)
+        rng = np.random.default_rng(8)
+        h, noise = _draw_channel(rng, B, ofspm42.n, 0.3)
+        y = ofspm42.codewords[rng.integers(1 << ofspm42.f, size=B)] * h + noise
+        tiled = _structured(y, h, ofspm42)
+        halves = [_structured(y[s], h[s], ofspm42)
+                  for s in (slice(0, B // 2), slice(B // 2, B))]
+        assert (tiled == np.concatenate(halves)).all()
+        assert (tiled == _detect_batch(y, h, ofspm42.codewords)).all()
+
+    def test_ber_loop_worker_and_kernel_independent(self, ofspm42, monkeypatch):
+        assert 1 << ofspm42.f > simulation._EXHAUSTIVE_MAX_J
+        cfg = SimConfig(scheme=ofspm42, snr_db_grid=(5.0, 15.0), min_bit_errors=300,
+                        master_seed=41)
+        one, two = simulate_ber(cfg, workers=1), simulate_ber(cfg, workers=2)
+        monkeypatch.setattr(simulation, "_EXHAUSTIVE_MAX_J", 1 << ofspm42.f)
+        assert one == two == simulate_ber(cfg, workers=1)
 
 
 class TestBerLoop:
