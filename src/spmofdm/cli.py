@@ -136,9 +136,12 @@ def _scheme_from_config(cfg):
 def _snr_grid(cfg):
     _require(cfg, "snr_start", "snr_stop", "snr_step")
     start, stop, step = cfg["snr_start"], cfg["snr_stop"], cfg["snr_step"]
-    if step <= 0 or stop < start:
+    if not (step > 0 and stop >= start):  # false for a nan too
         raise ConfigError("need snr_step > 0 and snr_stop >= snr_start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step
+    if not all(map(math.isfinite, (start, stop, step, span))):
+        raise ConfigError("snr_start, snr_stop, snr_step and their point count must be finite")
+    count = int(math.floor(span + 1e-9)) + 1
     return tuple(start + i * step for i in range(count))
 
 

@@ -18,6 +18,7 @@ first 2^f1 patterns, the rest Gray-modulate one symbol per subcarrier from
 the constellation assigned to that subcarrier's label.
 """
 
+import functools
 import itertools
 import math
 from collections.abc import Callable, Iterable
@@ -37,8 +38,6 @@ __all__ = [
     "RateFigures",
     "build_index_codebook",
     "pattern_count",
-    "expand_codeword",
-    "assemble_scheme",
     "build_scheme",
     "restrict",
     "codebook_dmin",
@@ -46,7 +45,6 @@ __all__ = [
     "asymptotic_rate",
     "asymptotic_max_rate",
     "export_codebook",
-    "export_codewords",
 ]
 
 VARIANTS = ("spm", "ospm", "fspm", "ofspm", "mm", "dm", "gdm", "ofdm-im", "ofdm")
@@ -157,44 +155,33 @@ def pattern_count(variant, n, k=None, d=None, n_active=None) -> int:
     return _variant(variant, n, k, d, n_active).count
 
 
-def _widths(pattern, family: ConstellationFamily):
-    return [family.bits_per_symbol(lab) for lab in pattern]
-
-
-def expand_codeword(pattern, mod_bits: int, family: ConstellationFamily) -> np.ndarray:
-    """Symbols for one pattern and one f2-bit modulation word, consuming the
-    word MSB-first across subcarriers."""
-    if max(pattern) + 1 > family.K:
-        raise ValueError(
-            f"pattern uses label {max(pattern)} but family has only {family.K} members"
-        )
-    widths = _widths(pattern, family)
-    f2 = sum(widths)
-    if not 0 <= mod_bits < (1 << f2):
-        raise ValueError(f"modulation word {mod_bits} out of range for f2={f2}")
-    out = np.empty(len(pattern), dtype=complex)
-    rem = f2
-    for i, (lab, w) in enumerate(zip(pattern, widths)):
-        rem -= w
-        idx = (mod_bits >> rem) & ((1 << w) - 1)
-        out[i] = family.members[lab][idx]
-    return out
-
-
 @dataclass(frozen=True)
 class Scheme:
-    """A transmittable configuration: codebook, family, and the full table
-    of 2^f mapped codewords (row index == transmitted bit word)."""
+    """A transmittable configuration: an index codebook and its constellation
+    family. The bit map and the 2^f-row codeword table derive from them.
+
+    Word w = (p << f2) | r sends pattern p, and on subcarrier i the point
+    (r >> offsets[p, i]) & (2^widths[p, i] - 1) of that subcarrier's label:
+    the modulation word is read MSB-first across subcarriers."""
 
     name: str
     book: IndexCodebook
     family: ConstellationFamily
-    f1: int
-    f2: int
-    codewords: np.ndarray  # (2^f, n) complex
 
     def __post_init__(self):
-        self.codewords.setflags(write=False)
+        if self.patterns.max() >= self.family.K:
+            raise ValueError(f"pattern uses label {self.patterns.max()} but family "
+                             f"has only {self.family.K} members")
+        if len(set(self.widths.sum(axis=1))) != 1:
+            raise ValueError("patterns disagree on modulation bit width")
+
+    @property
+    def f1(self) -> int:
+        return self.book.f1
+
+    @functools.cached_property
+    def f2(self) -> int:
+        return int(self.widths[0].sum())
 
     @property
     def f(self) -> int:
@@ -208,22 +195,42 @@ class Scheme:
     def rate_bits_per_subcarrier(self) -> float:
         return self.f / self.book.n
 
+    @functools.cached_property
+    def patterns(self) -> np.ndarray:
+        """The 2^f1 mapped patterns, (2^f1, n) labels."""
+        return _frozen(np.array(self.book.patterns[: 1 << self.f1], dtype=np.intp))
 
-def assemble_scheme(name: str, book: IndexCodebook, family: ConstellationFamily) -> Scheme:
-    """Expand every (index word, modulation word) pair into its codeword."""
-    f1 = book.f1
-    f2s = {sum(_widths(p, family)) for p in book.patterns[: 1 << f1]}
-    if len(f2s) != 1:
-        raise ValueError("patterns disagree on modulation bit width")
-    f2 = f2s.pop()
-    rows = []
-    for b1 in range(1 << f1):
-        pat = book.patterns[b1]
-        for b2 in range(1 << f2):
-            rows.append(expand_codeword(pat, b2, family))
-    return Scheme(
-        name=name, book=book, family=family, f1=f1, f2=f2, codewords=np.array(rows)
-    )
+    @functools.cached_property
+    def points(self) -> np.ndarray:
+        """(K, M) point table, row k = member k; a short member (the ofdm-im
+        null) repeats its own points."""
+        fam = self.family
+        return _frozen(np.stack([np.resize(s, fam.M) for s in fam.members]))
+
+    @functools.cached_property
+    def widths(self) -> np.ndarray:
+        """(2^f1, n) symbol-index bit width of each mapped subcarrier."""
+        fam = self.family
+        per_label = np.array([fam.bits_per_symbol(k) for k in range(fam.K)])
+        return _frozen(per_label[self.patterns])
+
+    @functools.cached_property
+    def offsets(self) -> np.ndarray:
+        """(2^f1, n) bit offset of each subcarrier's symbol index in the word."""
+        return _frozen(self.f2 - np.cumsum(self.widths, axis=1))
+
+    @functools.cached_property
+    def codewords(self) -> np.ndarray:
+        """(2^f, n) complex table; row index == transmitted bit word."""
+        r = np.arange(1 << self.f2)[None, :, None]
+        sym = (r >> self.offsets[:, None]) & ((1 << self.widths[:, None]) - 1)
+        rows = self.points[self.patterns[:, None], sym]  # (2^f1, 2^f2, n)
+        return _frozen(rows.reshape(-1, self.n))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def restrict(book: IndexCodebook, indices, pad_to: int | None = None) -> IndexCodebook:
@@ -371,8 +378,8 @@ def build_scheme(
     time_budget=_sel.TIME_BUDGET_S,
     name=None,
 ) -> Scheme:
-    """One-stop construction: codebook, optional clique selection, matching
-    constellation family, full expansion.
+    """One-stop construction: codebook, optional clique selection and the
+    matching constellation family.
 
     PSK identifiers are rotated M-PSK with max(n, labels) rotation slots
     (one slot per subcarrier, the multi-mode construction); QAM
@@ -414,7 +421,7 @@ def build_scheme(
 
     if name is None:
         name = f"{v}({','.join(str(x) for x in (n, *spec.params, m))})"
-    return assemble_scheme(name, book, family)
+    return Scheme(name, book, family)
 
 
 def export_codebook(book: IndexCodebook, m: int | None = None) -> str:
@@ -422,18 +429,4 @@ def export_codebook(book: IndexCodebook, m: int | None = None) -> str:
     head = f"{book.variant} {book.n} {book.k} {m if m is not None else '-'} {len(book.patterns)}"
     lines = [head]
     lines += [" ".join(str(x) for x in p) for p in book.patterns]
-    return "\n".join(lines) + "\n"
-
-
-def export_codewords(scheme: Scheme) -> str:
-    """Like export_codebook but one line per mapped codeword, labels followed
-    by 're im' pairs."""
-    book, fam = scheme.book, scheme.family
-    head = f"{book.variant} {book.n} {book.k} {fam.M} {scheme.codewords.shape[0]}"
-    lines = [head]
-    f2 = scheme.f2
-    for w, row in enumerate(scheme.codewords):
-        pat = book.patterns[w >> f2]
-        sym = " ".join(f"{s.real:.12g} {s.imag:.12g}" for s in row)
-        lines.append(" ".join(str(x) for x in pat) + " " + sym)
     return "\n".join(lines) + "\n"

@@ -92,25 +92,15 @@ def _detect_batch(y, h, codewords):
 _EXHAUSTIVE_MAX_J = 8
 
 
-def _symbol_tables(scheme):
-    """(patterns, coef, shifts): the 2^f1 mapped patterns (P, n); per point
-    j of label k, coef[j, k] = (|s|^2, -2 Re s, 2 Im s) (M, K, 3); and each
-    subcarrier's symbol-index bit offset in the word (P, n). A short member
-    (the ofdm-im null) repeats its points: a repeat ties with a lower index."""
-    fam = scheme.family
-    pats = np.array(scheme.book.patterns[: 1 << scheme.f1], dtype=np.intp)
-    pts = np.stack([np.resize(s, fam.M) for s in fam.members], axis=1)
-    coef = np.stack([np.abs(pts) ** 2, -2.0 * pts.real, 2.0 * pts.imag], axis=-1)
-    widths = np.array([fam.bits_per_symbol(k) for k in range(fam.K)])
-    return pats, coef, scheme.f2 - np.cumsum(widths[pats], axis=1)
-
-
-def _detect_structured(y, h, tables, f2):
+def _detect_structured(y, h, scheme):
     """ML decision per subcarrier: each subcarrier keeps, per label, its best
     point s and metric |h|^2 |s|^2 - 2 Re(conj(y) h s); the pattern with the
     least sum of its labels' minima wins. Ties go to the lowest point, then
-    the lowest pattern: _detect_batch's lowest-word order."""
-    pats, coef, shifts = tables
+    the lowest pattern: _detect_batch's lowest-word order. A repeated point
+    of a short member ties with a lower index and never wins."""
+    pats, shifts, f2 = scheme.patterns, scheme.offsets, scheme.f2
+    pts = scheme.points.T  # (M, K)
+    coef = np.stack([np.abs(pts) ** 2, -2.0 * pts.real, 2.0 * pts.imag], axis=-1)
     P, n = pats.shape
     m, K, _ = coef.shape
     out = np.empty(len(y), dtype=np.int64)
@@ -173,7 +163,7 @@ def _draw_channel(gen, B, n, n0):
     return h, noise
 
 
-def _ber_batch(scheme, snr_index, batch_index, n0, seed, tables):
+def _ber_batch(scheme, snr_index, batch_index, n0, seed):
     """Simulate one batch; returns integer error counters.
 
     Channel and noise are drawn before the data bits, so two schemes with
@@ -187,8 +177,8 @@ def _ber_batch(scheme, snr_index, batch_index, n0, seed, tables):
     h, noise = _draw_channel(gen, B, n, n0)
     bits = gen.integers(0, 1 << f, size=B, dtype=np.uint64)
     y = scheme.codewords[bits] * h + noise
-    det = (_detect_batch(y, h, scheme.codewords) if tables is None
-           else _detect_structured(y, h, tables, f2))
+    det = (_detect_batch(y, h, scheme.codewords) if 1 << f <= _EXHAUSTIVE_MAX_J
+           else _detect_structured(y, h, scheme))
     x = bits ^ det.astype(np.uint64)
     total = int(np.bitwise_count(x).sum())
     idx_err = int(np.bitwise_count(x >> np.uint64(f2)).sum())
@@ -203,7 +193,6 @@ def simulate_ber(config: SimConfig, workers: int = 1) -> BerReport:
     configs give bit-identical reports for any worker count.
     """
     scheme = config.scheme
-    tables = _symbol_tables(scheme) if 1 << scheme.f > _EXHAUSTIVE_MAX_J else None
     max_batches = config.max_blocks // BATCH_BLOCKS
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     points = []
@@ -214,7 +203,7 @@ def simulate_ber(config: SimConfig, workers: int = 1) -> BerReport:
             batches_done = 0
             while batches_done < max_batches:
                 todo = range(batches_done, min(batches_done + _WAVE_BATCHES, max_batches))
-                job = lambda b: _ber_batch(scheme, si, b, n0, config.master_seed, tables)
+                job = lambda b: _ber_batch(scheme, si, b, n0, config.master_seed)
                 results = pool.map(job, todo) if pool else map(job, todo)
                 for t, i, m in results:  # fixed batch order
                     tot += t

@@ -323,6 +323,22 @@ class TestBoundCommand:
         assert len(lines) == 4
         assert all(row.endswith(",1") for row in lines[1:])
 
+    @pytest.mark.parametrize("grid", [
+        "snr_start=0\nsnr_stop=inf\nsnr_step=1\n",
+        "snr_start=-inf\nsnr_stop=0\nsnr_step=1\n",
+        "snr_start=0\nsnr_stop=10\nsnr_step=nan\n",
+        "snr_start=0\nsnr_stop=1e308\nsnr_step=1e-300\n",  # finite, but no end
+        "snr_start=0\nsnr_stop=10\nsnr_step=0\n",
+        "snr_start=10\nsnr_stop=0\nsnr_step=1\n",
+    ], ids=["stop_inf", "start_minus_inf", "step_nan", "count_inf", "step_zero",
+            "stop_below_start"])
+    def test_bad_grid_exit(self, tmp_path, capsys, grid):
+        p = write_cfg(tmp_path, "bd.cfg", "variant=ofdm\nn=1\nm=2\n" + grid)
+        out = tmp_path / "bound.csv"
+        assert run("bound", p, out) == EXIT_CONFIG
+        assert not out.exists()
+        assert "config error: " in capsys.readouterr().err
+
 
 class TestRateCommands:
     def test_rate_table_sweep(self, tmp_path):

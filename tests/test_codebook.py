@@ -9,15 +9,13 @@ import pytest
 from spmofdm.codebook import (
     VARIANTS,
     IndexCodebook,
+    Scheme,
     asymptotic_max_rate,
     asymptotic_rate,
-    assemble_scheme,
     build_index_codebook,
     build_scheme,
     codebook_dmin,
-    expand_codeword,
     export_codebook,
-    export_codewords,
     pattern_count,
     rate,
     restrict,
@@ -31,6 +29,8 @@ from spmofdm.combinatorics import (
 )
 from spmofdm.constellations import psk_family
 from spmofdm.selection import BudgetExhausted, build_hamming_graph, is_clique
+
+from codeword_oracle import expand_codeword
 
 
 def partition_signature(labels):
@@ -202,11 +202,11 @@ def index_word_patterns(scheme):
 
 class TestBitMapping:
     def test_first_mapped_row(self):
-        scheme = assemble_scheme("lookup", LOOKUP_BOOK, psk_family(2, 2, 4))
+        scheme = Scheme("lookup", LOOKUP_BOOK, psk_family(2, 2, 4))
         assert index_word_patterns(scheme)[0b00] == (0, 1, 1, 1)
 
     def test_round_trip(self):
-        scheme = assemble_scheme("lookup", LOOKUP_BOOK, psk_family(2, 2, 4))
+        scheme = Scheme("lookup", LOOKUP_BOOK, psk_family(2, 2, 4))
         assert index_word_patterns(scheme) == list(LOOKUP_BOOK.patterns)
 
     def test_selected_ospm_round_trip(self):
@@ -247,12 +247,17 @@ class TestExpansion:
             for n, sym in enumerate(scheme.codewords[w]):
                 assert np.min(np.abs(fam.members[pat[n]] - sym)) < 1e-12
 
-    def test_errors(self):
-        fam = psk_family(2, 2, 4)
-        with pytest.raises(ValueError):
-            expand_codeword((0, 1, 2), 0, fam)  # label 2 missing
-        with pytest.raises(ValueError):
-            expand_codeword((0, 1), 1 << 2, fam)  # word too wide
+    def test_label_without_member(self):
+        book = IndexCodebook("spm", 3, 3, ((0, 1, 2),))
+        with pytest.raises(ValueError, match="label 2"):
+            Scheme("bad", book, psk_family(2, 2, 4))  # label 2 missing
+
+    def test_unequal_modulation_widths(self):
+        # 4-point data member and 1-point null: (0, 0) carries 4 bits, (0, 1) 2
+        family = build_scheme("ofdm-im", 2, m=4, n_active=1).family
+        book = IndexCodebook("ofdm-im", 2, 2, ((0, 1), (0, 0)))
+        with pytest.raises(ValueError, match="bit width"):
+            Scheme("bad", book, family)
 
 
 class TestDmin:
@@ -362,11 +367,3 @@ class TestExport:
         assert lines[0] == "spm 4 2 2 7"
         assert len(lines) == 8
         assert lines[1].split() == ["0", "0", "0", "1"]
-
-    def test_codeword_export(self):
-        scheme = build_scheme("spm", 4, k=2, m=2)
-        text = export_codewords(scheme)
-        lines = text.splitlines()
-        assert lines[0].endswith(" 64")  # 4 patterns x 16 modulation words
-        first = lines[1].split()
-        assert len(first) == 4 + 8  # labels + re/im pairs

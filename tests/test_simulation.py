@@ -9,7 +9,7 @@ import pytest
 
 from spmofdm import simulation
 from spmofdm.cli import _scheme_from_config, load_config
-from spmofdm.codebook import build_scheme, expand_codeword
+from spmofdm.codebook import build_scheme
 from spmofdm.simulation import (
     BATCH_BLOCKS,
     SimConfig,
@@ -17,15 +17,19 @@ from spmofdm.simulation import (
     _detect_structured,
     _draw_channel,
     _stream,
-    _symbol_tables,
     estimate_rate,
     simulate_ber,
     snr_db_to_n0,
 )
 
+from codeword_oracle import expand_codeword
+
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 BER_CONFIGS = sorted(os.path.relpath(p, CONFIG_DIR)
                      for p in glob.glob(os.path.join(CONFIG_DIR, "ber_*", "*.cfg")))
+SCHEME_CONFIGS = BER_CONFIGS + sorted(
+    os.path.relpath(p, CONFIG_DIR)
+    for p in glob.glob(os.path.join(CONFIG_DIR, "rate_mc_*", "*.cfg")))
 
 
 @pytest.fixture(scope="module")
@@ -40,13 +44,19 @@ class TestTransmit:
         fam = ospm422.family
         assert np.allclose(x, [fam.members[lab][0] for lab in pat])
 
-    def test_matches_codeword_table(self, ospm422):
-        # index word in the top f1 bits, modulation word below
-        mask = (1 << ospm422.f2) - 1
-        for w in range(1 << ospm422.f):
-            pat = ospm422.book.patterns[w >> ospm422.f2]
-            x = expand_codeword(pat, w & mask, ospm422.family)
-            assert np.allclose(x, ospm422.codewords[w])
+    def test_found(self):
+        assert len(SCHEME_CONFIGS) == 28
+
+    @pytest.mark.parametrize("name", SCHEME_CONFIGS)
+    def test_matches_codeword_table(self, name):
+        # index word in the top f1 bits, modulation word below; exact equality
+        scheme = _scheme_from_config(load_config(os.path.join(CONFIG_DIR, name)))
+        mask = (1 << scheme.f2) - 1
+        assert scheme.codewords.shape == (1 << scheme.f, scheme.n)
+        for w in range(1 << scheme.f):
+            pat = scheme.book.patterns[w >> scheme.f2]
+            x = expand_codeword(pat, w & mask, scheme.family)
+            assert np.array_equal(x, scheme.codewords[w]), w
 
     def test_distinct_words_distinct_codewords(self):
         for scheme in (build_scheme("ospm", 4, k=2, m=2, selection="alg1"),
@@ -86,10 +96,6 @@ class TestDetection:
         assert 0.0 < p.ber < 0.5
 
 
-def _structured(y, h, scheme):
-    return _detect_structured(y, h, _symbol_tables(scheme), scheme.f2)
-
-
 class TestStructuredDetection:
     """The per-subcarrier detector against the exhaustive kernel as oracle."""
 
@@ -111,7 +117,7 @@ class TestStructuredDetection:
                 h, noise = _draw_channel(gen, BATCH_BLOCKS, scheme.n, snr_db_to_n0(snr_db))
                 bits = gen.integers(0, 1 << scheme.f, size=BATCH_BLOCKS, dtype=np.uint64)
                 y = X[bits] * h + noise
-                assert (_structured(y, h, scheme) == _detect_batch(y, h, X)).all()
+                assert (_detect_structured(y, h, scheme) == _detect_batch(y, h, X)).all()
 
     @pytest.mark.parametrize("variant", [
         dict(variant="ofspm", n=4, m=2, selection="alg2"),
@@ -133,7 +139,7 @@ class TestStructuredDetection:
             keep = [i for i in range(scheme.n) if i not in erased]
             same = np.isclose(X[None, :, keep], X[sent][:, None, keep]).all(axis=2)
             expected = same.argmax(axis=1)  # lowest word matching off the erasure
-            assert (_structured(y, h, scheme) == expected).all()
+            assert (_detect_structured(y, h, scheme) == expected).all()
             assert (_detect_batch(y, h, X) == expected).all()
         assert (expected == 0).all()  # all erased: word 0
 
@@ -144,8 +150,8 @@ class TestStructuredDetection:
         rng = np.random.default_rng(8)
         h, noise = _draw_channel(rng, B, ofspm42.n, 0.3)
         y = ofspm42.codewords[rng.integers(1 << ofspm42.f, size=B)] * h + noise
-        tiled = _structured(y, h, ofspm42)
-        halves = [_structured(y[s], h[s], ofspm42)
+        tiled = _detect_structured(y, h, ofspm42)
+        halves = [_detect_structured(y[s], h[s], ofspm42)
                   for s in (slice(0, B // 2), slice(B // 2, B))]
         assert (tiled == np.concatenate(halves)).all()
         assert (tiled == _detect_batch(y, h, ofspm42.codewords)).all()
