@@ -12,12 +12,9 @@ from .combinatorics import (
     optimal_k_ordered,
     ordered_bell,
     stirling2,
-    unrank_combination,
 )
 from .constellations import (
     ConstellationFamily,
-    min_cross_distance,
-    min_intra_distance,
     psk_family,
     qam_family,
 )
@@ -49,9 +46,4 @@ from .simulation import (
     estimate_rate,
     simulate_ber,
 )
-from .analysis import (
-    pep_asymptotic,
-    pep_conditional,
-    pep_unconditional,
-    union_bound_ber,
-)
+from .analysis import union_bound_ber

@@ -279,7 +279,7 @@ def cmd_rate(cfg, args):
         for n in n_range:
             try:
                 fig = _call(codebook.rate, cfg, v, n)
-            except codebook._MissingParameter as e:
+            except codebook._Refused as e:
                 raise ConfigError(str(e)) from None
             except ValueError as e:  # e.g. k > n early in a sweep
                 rejected = rejected or e

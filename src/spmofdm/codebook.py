@@ -29,7 +29,7 @@ import numpy as np
 from . import combinatorics as comb
 from . import selection as _sel
 from .combinatorics import floor_log2, optimal_k, optimal_k_ordered
-from .constellations import ConstellationFamily, psk_family, qam_family
+from .constellations import QAM_PARENT, ConstellationFamily, psk_family, qam_family
 
 __all__ = [
     "VARIANTS",
@@ -37,7 +37,6 @@ __all__ = [
     "Scheme",
     "RateFigures",
     "build_index_codebook",
-    "pattern_count",
     "build_scheme",
     "restrict",
     "codebook_dmin",
@@ -83,8 +82,10 @@ def _im_patterns(n, size):
         yield tuple(0 if i in pos else 1 for i in range(n))
 
 
-class _MissingParameter(ValueError):
-    """A variant's required parameter was not given."""
+class _Refused(ValueError):
+    """A request a rate sweep stops at instead of skipping the row: a
+    variant's required parameter is missing, or n (and so every later n)
+    is above the counting limit."""
 
 
 @dataclass(frozen=True)
@@ -98,18 +99,21 @@ class _Variant:
 
 
 def _variant(variant, n, k=None, d=None, n_active=None) -> _Variant:
-    """The one table of variant rules: canonical name, k=auto (spm/ospm:
-    rate-maximizing block count, mm: n; other variants ignore k), checks
-    and defaults, and side by side each variant's label count, exact
-    pattern count and pattern enumeration in its documented order."""
+    """The one table of variant rules: canonical name, n from 1 to
+    MAX_COUNT_N, k=auto (spm/ospm: rate-maximizing block count, mm: n;
+    other variants ignore k), checks and defaults, and side by side each
+    variant's label count, exact pattern count and pattern enumeration in
+    its documented order."""
     v = canonical_variant(variant)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if n > comb.MAX_COUNT_N:
+        raise _Refused(f"n must be <= {comb.MAX_COUNT_N}, got {n}")
     if v in ("spm", "ospm"):
         if k == "auto":
             k = optimal_k(n).argmax if v == "spm" else optimal_k_ordered(n)
         if k is None:
-            raise _MissingParameter(f"{v} requires k")
+            raise _Refused(f"{v} requires k")
     if v == "spm":  # stirling2 checks 1 <= k <= n
         return _Variant(v, k, comb.stirling2(n, k),
                         lambda: comb.enumerate_partitions(n, k), n, (k,))
@@ -135,7 +139,7 @@ def _variant(variant, n, k=None, d=None, n_active=None) -> _Variant:
         return _Variant(v, 2, 1 << n, lambda: itertools.product((0, 1), repeat=n), n)
     if v == "ofdm-im":  # label 0 = data constellation, label 1 = reserved null
         if n_active is None:
-            raise _MissingParameter("ofdm-im requires n_active")
+            raise _Refused("ofdm-im requires n_active")
         if not 1 <= n_active <= n:
             raise ValueError(f"need 1 <= n_active <= n, got {n_active}")
         return _Variant(v, 2, math.comb(n, n_active),
@@ -148,11 +152,6 @@ def build_index_codebook(variant, n, k=None, d=None, n_active=None) -> IndexCode
     deterministic enumeration order documented per variant."""
     spec = _variant(variant, n, k, d, n_active)
     return IndexCodebook(variant=spec.name, n=n, k=spec.k, patterns=tuple(spec.patterns()))
-
-
-def pattern_count(variant, n, k=None, d=None, n_active=None) -> int:
-    """Exact size of the full pattern list, without enumerating it."""
-    return _variant(variant, n, k, d, n_active).count
 
 
 @dataclass(frozen=True)
@@ -343,16 +342,11 @@ def asymptotic_max_rate(variant, n, m) -> float:
     raise ValueError(f"no asymptote defined for {variant!r}")
 
 
-_QAM_PARENT = 16  # QAM identifiers are cosets of 16-QAM
-
-
 def _im_family(m: int, n: int, n_active: int) -> ConstellationFamily:
     """Active constellation boosted by sqrt(n/n_active) plus the null point,
     so per-block energy matches all-active schemes."""
     base = psk_family(m, 1, 1).members[0] * math.sqrt(n / n_active)
-    return ConstellationFamily(
-        members=(base, np.zeros(1, dtype=complex)), kind="im", M=m, K=2
-    )
+    return ConstellationFamily(members=(base, np.zeros(1, dtype=complex)), M=m, K=2)
 
 
 def _take(family: ConstellationFamily, k: int) -> ConstellationFamily:
@@ -360,8 +354,7 @@ def _take(family: ConstellationFamily, k: int) -> ConstellationFamily:
         raise ValueError(f"family has {family.K} members, need {k}")
     if k == family.K:
         return family
-    return ConstellationFamily(members=family.members[:k], kind=family.kind,
-                               M=family.M, K=k)
+    return ConstellationFamily(members=family.members[:k], M=family.M, K=k)
 
 
 def build_scheme(
@@ -410,12 +403,12 @@ def build_scheme(
             family = psk_family(m, k_needed, max(n, k_needed))
         elif constellation == "qam":
             levels = max(1, math.ceil(math.log2(k_needed))) if k_needed > 1 else 0
-            if _QAM_PARENT >> levels != m:
+            if QAM_PARENT >> levels != m:
                 raise ValueError(
-                    f"{_QAM_PARENT}-QAM split {levels} times gives "
-                    f"{_QAM_PARENT >> levels}-point members, not m={m}"
+                    f"{QAM_PARENT}-QAM split {levels} times gives "
+                    f"{QAM_PARENT >> levels}-point members, not m={m}"
                 )
-            family = _take(qam_family(_QAM_PARENT, levels), k_needed)
+            family = _take(qam_family(levels), k_needed)
         else:
             raise ValueError(f"unknown constellation {constellation!r}")
 

@@ -10,24 +10,24 @@ them per underlying partition into K blocks.
 """
 
 import math
+import threading
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator
 
 # Enumeration guard. Counting works for any n; enumerating label vectors
 # beyond this is never a desk-scale operation (bell(24) ~ 4.5e17).
 MAX_ENUM_N = 24
+# Counting guard for the variant table: the Stirling triangle up to n = 1000
+# takes a few seconds and about 200 MB to build.
+MAX_COUNT_N = 1000
 
 __all__ = [
     "stirling2",
-    "stirling2_explicit",
     "stirling2_row",
     "bell",
     "ordered_bell",
     "enumerate_partitions",
     "enumerate_ordered_partitions",
-    "unrank_combination",
-    "rank_combination",
     "lambert_w",
     "optimal_k",
     "optimal_k_ordered",
@@ -43,35 +43,27 @@ def _check_nk(n: int, k: int) -> None:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
 
 
-@lru_cache(maxsize=None)
+_TRIANGLE = [(1,)]  # rows 1, 2, ... of the Stirling triangle built so far
+_TRIANGLE_LOCK = threading.Lock()
+
+
 def stirling2_row(n: int) -> tuple[int, ...]:
-    """Row (S(n,1), ..., S(n,n)) of the Stirling-number triangle."""
+    """Row (S(n,1), ..., S(n,n)) of the Stirling-number triangle. Rows are
+    built once each, in order, and kept."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if n == 1:
-        return (1,)
-    prev = stirling2_row(n - 1)
-    row = [1]
-    for k in range(2, n):
-        row.append(k * prev[k - 1] + prev[k - 2])
-    row.append(1)
-    return tuple(row)
+    with _TRIANGLE_LOCK:
+        while len(_TRIANGLE) < n:
+            prev = _TRIANGLE[-1]
+            mid = (k * prev[k - 1] + prev[k - 2] for k in range(2, len(prev) + 1))
+            _TRIANGLE.append((1, *mid, 1))
+    return _TRIANGLE[n - 1]
 
 
 def stirling2(n: int, k: int) -> int:
     """Number of partitions of an n-set into exactly k non-empty blocks."""
     _check_nk(n, k)
     return stirling2_row(n)[k - 1]
-
-
-def stirling2_explicit(n: int, k: int) -> int:
-    """Same count via the alternating binomial sum (used to cross-check the
-    recurrence; both must agree exactly)."""
-    _check_nk(n, k)
-    total = sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
-    q, r = divmod(total, math.factorial(k))
-    assert r == 0
-    return q
 
 
 def bell(n: int) -> int:
@@ -131,57 +123,23 @@ def enumerate_ordered_partitions(n: int, k: int) -> Iterator[tuple[int, ...]]:
             yield _apply_perm(perm, canon)
 
 
-def unrank_combination(rank: int, n: int, k: int) -> tuple[int, ...]:
-    """The k-subset of {0..n-1} with the given lexicographic rank.
-
-    Bijective with rank_combination; lets callers stream C(n, k) subsets
-    without materializing them.
-    """
-    total = math.comb(n, k)
-    if not 0 <= rank < total:
-        raise ValueError(f"rank {rank} out of range [0, {total})")
-    out = []
-    c = 0
-    r = rank
-    for j in range(k, 0, -1):
-        while True:
-            block = math.comb(n - 1 - c, j - 1)
-            if r < block:
-                break
-            r -= block
-            c += 1
-        out.append(c)
-        c += 1
-    return tuple(out)
+_LAMBERT_TOL = 1e-12  # relative Newton step at which lambert_w stops
+_LAMBERT_MAX_ITER = 50
 
 
-def rank_combination(subset: tuple[int, ...], n: int) -> int:
-    """Lexicographic rank of a strictly increasing k-subset of {0..n-1}."""
-    k = len(subset)
-    rank = 0
-    prev = -1
-    for j, c in enumerate(subset):
-        if c <= prev or c >= n:
-            raise ValueError(f"subset must be strictly increasing within [0, {n})")
-        for x in range(prev + 1, c):
-            rank += math.comb(n - 1 - x, k - j - 1)
-        prev = c
-    return rank
-
-
-def lambert_w(x: float, tol: float = 1e-12, max_iter: int = 50) -> float:
+def lambert_w(x: float) -> float:
     """Principal branch of the Lambert W function for x > 0 via Newton
     iteration from the starting guess ln(1 + x)."""
     if x <= 0:
         raise ValueError(f"x must be > 0, got {x}")
     w = math.log1p(x)
-    for _ in range(max_iter):
+    for _ in range(_LAMBERT_MAX_ITER):
         ew = math.exp(w)
         step = (w * ew - x) / (ew * (w + 1))
         w -= step
-        if abs(step) <= tol * max(1.0, abs(w)):
+        if abs(step) <= _LAMBERT_TOL * max(1.0, abs(w)):
             return w
-    raise RuntimeError(f"lambert_w({x}) did not converge in {max_iter} iterations")
+    raise RuntimeError(f"lambert_w({x}) did not converge in {_LAMBERT_MAX_ITER} iterations")
 
 
 @dataclass(frozen=True)

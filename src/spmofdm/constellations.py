@@ -8,7 +8,7 @@ must stay disjoint as point sets. Two constructions are provided:
   number of rotation slots (G = K by default for maximum separation; pass
   G = N to reproduce the multi-mode construction with one slot per
   subcarrier);
-* cosets of a square QAM grid obtained by iterated two-way lattice
+* cosets of the 16-QAM grid obtained by iterated two-way lattice
   splitting, each split doubling the intra-subset minimum distance by
   sqrt(2).
 
@@ -27,10 +27,9 @@ __all__ = [
     "ConstellationFamily",
     "psk_family",
     "qam_family",
-    "min_cross_distance",
-    "min_intra_distance",
-    "export_family",
 ]
+
+QAM_PARENT = 16  # qam_family splits this square QAM grid
 
 
 @dataclass(frozen=True)
@@ -38,7 +37,6 @@ class ConstellationFamily:
     """K disjoint constellations; members[k][b] is the symbol for bit word b."""
 
     members: tuple[np.ndarray, ...]
-    kind: str  # "psk" | "qam" | "im"
     M: int  # points per data constellation
     K: int
 
@@ -74,16 +72,14 @@ def psk_family(M: int, K: int, rotation_slots: int | None = None) -> Constellati
     for k in range(K):
         ang = 2.0 * np.pi * np.arange(M) / M + 2.0 * k * math.pi / (M * G)
         members.append(_gray_permute(np.exp(1j * ang)))
-    return ConstellationFamily(members=tuple(members), kind="psk", M=M, K=K)
+    return ConstellationFamily(members=tuple(members), M=M, K=K)
 
 
-def _square_grid(m_parent: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-energy square QAM points plus their integer grid coordinates."""
-    side = int(round(math.sqrt(m_parent)))
-    if side * side != m_parent:
-        raise ValueError(f"parent size must be a perfect square, got {m_parent}")
+def _square_grid() -> tuple[np.ndarray, np.ndarray]:
+    """Unit-energy parent QAM points plus their integer grid coordinates."""
+    side = math.isqrt(QAM_PARENT)
     levels_1d = np.arange(-(side - 1), side, 2)  # -(side-1), ..., side-1
-    scale = math.sqrt(2.0 * (m_parent - 1) / 3.0)
+    scale = math.sqrt(2.0 * (QAM_PARENT - 1) / 3.0)
     pts = (levels_1d[:, None] + 1j * levels_1d[None, :]).ravel() / scale
     u, v = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
     coords = np.stack([u.ravel(), v.ravel()], axis=1)
@@ -126,20 +122,17 @@ def _gray_label_grid(pts: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return out
 
 
-def qam_family(m_parent: int, levels: int) -> ConstellationFamily:
-    """2^levels cosets of a unit-energy square QAM constellation.
+def qam_family(levels: int) -> ConstellationFamily:
+    """2^levels cosets of unit-energy 16-QAM.
 
-    Each split doubles the intra-subset minimum distance by sqrt(2); with
-    m_parent = 16 and levels = 2 this yields the four 4-point cosets whose
-    intra distance is 4/sqrt(10). Subsets are renormalized to unit average
-    energy (an exact no-op for every balanced case, which includes all
-    16-QAM depths and 64-QAM up to depth 3).
+    Each split doubles the intra-subset minimum distance by sqrt(2); levels
+    = 2 yields the four 4-point cosets whose intra distance is 4/sqrt(10).
+    Subsets are renormalized to unit average energy (a no-op for every
+    balanced subset).
     """
-    if m_parent not in (16, 64):
-        raise ValueError(f"parent must be 16 or 64, got {m_parent}")
-    if levels < 0 or 2**levels > m_parent:
-        raise ValueError(f"invalid partition depth {levels} for {m_parent}-QAM")
-    pts, coords = _square_grid(m_parent)
+    if levels < 0 or 2**levels > QAM_PARENT:
+        raise ValueError(f"invalid partition depth {levels} for {QAM_PARENT}-QAM")
+    pts, coords = _square_grid()
     subsets = [(pts, coords)]
     for _ in range(levels):
         nxt = []
@@ -151,40 +144,5 @@ def qam_family(m_parent: int, levels: int) -> ConstellationFamily:
         arr = _gray_label_grid(p, c)
         arr = arr / math.sqrt(float(np.mean(np.abs(arr) ** 2)))
         members.append(arr)
-    return ConstellationFamily(
-        members=tuple(members), kind="qam", M=m_parent >> levels, K=1 << levels
-    )
+    return ConstellationFamily(members=tuple(members), M=QAM_PARENT >> levels, K=1 << levels)
 
-
-def min_cross_distance(family: ConstellationFamily) -> float:
-    """Smallest distance between symbols of two different members."""
-    if family.K < 2:
-        raise ValueError("cross distance undefined for a single-member family")
-    best = math.inf
-    for a in range(family.K):
-        for b in range(a + 1, family.K):
-            d = np.abs(family.members[a][:, None] - family.members[b][None, :])
-            best = min(best, float(d.min()))
-    return best
-
-
-def min_intra_distance(family: ConstellationFamily) -> float:
-    """Smallest distance between two symbols of the same member."""
-    best = math.inf
-    for m in family.members:
-        if len(m) < 2:
-            continue
-        d = np.abs(m[:, None] - m[None, :])
-        np.fill_diagonal(d, np.inf)
-        best = min(best, float(d.min()))
-    if not math.isfinite(best):
-        raise ValueError("intra distance undefined: no member has two symbols")
-    return best
-
-
-def export_family(family: ConstellationFamily) -> str:
-    """Text dump: one 're im' line per symbol, blank line between members."""
-    blocks = []
-    for m in family.members:
-        blocks.append("\n".join(f"{s.real:.12g} {s.imag:.12g}" for s in m))
-    return "\n\n".join(blocks) + "\n"

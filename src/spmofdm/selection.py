@@ -27,7 +27,6 @@ __all__ = [
     "HammingGraph",
     "CliqueResult",
     "BudgetExhausted",
-    "hamming_distance",
     "build_hamming_graph",
     "graph_from_edge_list",
     "clique_upper_bound",
@@ -36,7 +35,6 @@ __all__ = [
     "vertex_exclusion",
     "exact_max_clique",
     "solve",
-    "export_edge_list",
     "clique_result_csv_row",
 ]
 
@@ -47,6 +45,10 @@ TIME_BUDGET_S = 60.0
 # symmetric-eigensolver rounding on eigenvalues that are exactly -1.
 EIG_TOL = 1e-9
 
+# Largest vertex count an edge list may name (ofspm(6)'s graph has 4683);
+# the adjacency and its eigenvalue solve take O(L^2) memory.
+MAX_EDGE_LIST_ORDER = 8192
+
 
 class BudgetExhausted(RuntimeError):
     """Brute-force scan hit its subset budget before settling the question."""
@@ -54,10 +56,8 @@ class BudgetExhausted(RuntimeError):
 
 @dataclass(frozen=True)
 class HammingGraph:
-    """Adjacency plus (when built from a codebook) the source patterns;
-    graphs loaded from a plain edge list carry patterns=None."""
+    """A graph on index patterns (or on the vertices of an edge list)."""
 
-    patterns: tuple[tuple[int, ...], ...] | None
     adjacency: np.ndarray  # bool, symmetric, zero diagonal
 
     def __post_init__(self):
@@ -100,10 +100,6 @@ class CliqueResult:
         return self.conclusive and self.proven_optimal is not False
 
 
-def hamming_distance(a, b) -> int:
-    return sum(x != y for x, y in zip(a, b))
-
-
 def build_hamming_graph(patterns) -> HammingGraph:
     """Adjacency under the distance >= 2 rule; vertex order = input order."""
     pats = tuple(tuple(p) for p in patterns)
@@ -124,7 +120,7 @@ def build_hamming_graph(patterns) -> HammingGraph:
         d = (arr[lo:hi, None, :] != arr[None, :, :]).sum(axis=2)
         adj[lo:hi] = d >= 2
     np.fill_diagonal(adj, False)
-    return HammingGraph(patterns=pats, adjacency=adj)
+    return HammingGraph(adj)
 
 
 def clique_upper_bound(graph: HammingGraph) -> int:
@@ -306,15 +302,9 @@ def solve(graph: HammingGraph, algorithm: str, budget: int | None = None,
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-def export_edge_list(graph: HammingGraph) -> str:
-    """One 'l lhat' line per edge, 0-based, l < lhat."""
-    ii, jj = np.nonzero(np.triu(graph.adjacency, k=1))
-    return "\n".join(f"{i} {j}" for i, j in zip(ii, jj)) + "\n"
-
-
 def graph_from_edge_list(text: str) -> HammingGraph:
-    """Inverse of export_edge_list: one 'l lhat' pair per line, # comments
-    allowed. Vertex count is one past the largest index seen."""
+    """Graph from one 0-based 'l lhat' pair per line, # comments allowed.
+    Vertex count is one past the largest index seen."""
     edges = []
     top = -1
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -327,6 +317,9 @@ def graph_from_edge_list(text: str) -> HammingGraph:
         i, j = int(parts[0]), int(parts[1])
         if i < 0 or j < 0 or i == j:
             raise ValueError(f"edge list line {lineno}: bad edge ({i}, {j})")
+        if max(i, j) >= MAX_EDGE_LIST_ORDER:
+            raise ValueError(f"edge list line {lineno}: vertex {max(i, j)} above the "
+                             f"limit {MAX_EDGE_LIST_ORDER - 1}")
         edges.append((i, j))
         top = max(top, i, j)
     if top < 1:
@@ -334,7 +327,7 @@ def graph_from_edge_list(text: str) -> HammingGraph:
     adj = np.zeros((top + 1, top + 1), dtype=bool)
     for i, j in edges:
         adj[i, j] = adj[j, i] = True
-    return HammingGraph(patterns=None, adjacency=adj)
+    return HammingGraph(adj)
 
 
 def clique_result_csv_row(res: CliqueResult) -> str:

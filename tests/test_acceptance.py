@@ -180,8 +180,9 @@ def test_criterion_03b_spectral_bound_published_values(
         # still a valid bound: the patterns with an odd number of 1 labels
         # differ pairwise in an even, nonzero number of places
         if name.startswith("ospm"):
-            n = len(g.patterns[0])
-            odd = [i for i, p in enumerate(g.patterns) if sum(p) % 2]
+            n = int(name.removeprefix("ospm"))
+            patterns = build_index_codebook("ospm", n, k=2).patterns  # vertex order
+            odd = [i for i, p in enumerate(patterns) if sum(p) % 2]
             if len(odd) != 2 ** (n - 1) or not is_clique(g, odd):
                 problems.append(f"{name}: odd-label-count set is not a "
                                 f"{2 ** (n - 1)}-clique")

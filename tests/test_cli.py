@@ -233,6 +233,16 @@ class TestSelectCommand:
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert all(int(r.split(",")[1]) == 3 for r in rows[1:])
 
+    def test_edge_list_vertex_limit(self, tmp_path, capsys):
+        # one edge to vertex 10^8 would need an 8.88 PiB adjacency
+        edges = tmp_path / "g.txt"
+        edges.write_text("0 100000000\n")
+        p = write_cfg(tmp_path, "s.cfg", f"graph={edges}\nalgorithms=alg2\n")
+        out = tmp_path / "sel.csv"
+        assert run("select", p, out) == EXIT_CONFIG
+        assert not out.exists()
+        assert "limit" in capsys.readouterr().err
+
     def test_edge_list_in_config_hash(self, tmp_path):
         # same config text, two different edge lists behind the same path
         edges = tmp_path / "g.txt"
@@ -408,6 +418,20 @@ class TestRateCommands:
         p = write_cfg(tmp_path, "r.cfg", "variants=spm,ofdm-im\nk=2\nn=4\n")
         assert run("rate", p, tmp_path / "r.csv") == EXIT_CONFIG
         assert "n_active" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,text", [
+        ("rate", "variants=fspm\nn=3000\n"),
+        ("codebook", "variant=spm\nk=auto\nn=10000\n"),
+        ("rate", "variant=spm\nk=auto\nn=1" + "0" * 400 + "\n"),
+        # a sweep stops at the limit instead of skipping past it
+        ("rate", "variants=gdm\nn_start=990\nn_stop=1" + "0" * 400 + "\n"),
+    ], ids=["fspm_3000", "codebook_spm_10000", "spm_1e400", "sweep_past_limit"])
+    def test_n_above_counting_limit(self, tmp_path, capsys, command, text):
+        p = write_cfg(tmp_path, "r.cfg", text)
+        out = tmp_path / "r.csv"
+        assert run(command, p, out) == EXIT_CONFIG
+        assert not out.exists()
+        assert "config error: n must be <=" in capsys.readouterr().err
 
     def test_rate_mc(self, tmp_path):
         p = write_cfg(

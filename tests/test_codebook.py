@@ -16,7 +16,6 @@ from spmofdm.codebook import (
     build_scheme,
     codebook_dmin,
     export_codebook,
-    pattern_count,
     rate,
     restrict,
 )
@@ -89,10 +88,10 @@ class TestBuild:
 
     def test_count_formulas(self):
         for n in range(1, 9):
-            assert pattern_count("fspm", n) == bell(n)
-            assert pattern_count("ofspm", n) == ordered_bell(n)
-            assert pattern_count("mm", n) == math.factorial(n)
-            assert pattern_count("gdm", n) == 2**n
+            assert rate("fspm", n).count == bell(n)
+            assert rate("ofspm", n).count == ordered_bell(n)
+            assert rate("mm", n).count == math.factorial(n)
+            assert rate("gdm", n).count == 2**n
 
     def test_variant_aliases(self):
         assert build_index_codebook("MM-OFDM-IM", 3).variant == "mm"
@@ -112,8 +111,8 @@ class TestBuild:
 class TestVariantRules:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_count_and_rate_agree_with_build(self, variant):
-        # pattern_count and rate reject exactly what build_index_codebook
-        # rejects, and otherwise count its patterns
+        # rate rejects exactly what build_index_codebook rejects, and
+        # otherwise counts its patterns
         for n in range(1, 7):
             for k, d, n_active in itertools.product(
                 (None, "auto", 0, 2, 3, n, n + 1), (None, 0, 1, n), (None, 0, 2, n + 1)
@@ -123,11 +122,8 @@ class TestVariantRules:
                     book = build_index_codebook(variant, n, **kw)
                 except ValueError:
                     with pytest.raises(ValueError):
-                        pattern_count(variant, n, **kw)
-                    with pytest.raises(ValueError):
                         rate(variant, n, **kw)
                     continue
-                assert pattern_count(variant, n, **kw) == len(book.patterns), kw
                 assert len(set(book.patterns)) == len(book.patterns)
                 fig = rate(variant, n, **kw)
                 assert (fig.count, fig.k) == (len(book.patterns), book.k), kw
@@ -184,7 +180,7 @@ class TestContainments:
 
     def test_gdm_count_is_binomial_sum(self):
         for n in range(1, 21):
-            assert pattern_count("gdm", n) == sum(math.comb(n, d) for d in range(n + 1))
+            assert rate("gdm", n).count == sum(math.comb(n, d) for d in range(n + 1))
 
 
 def index_word_patterns(scheme):

@@ -2,9 +2,12 @@
 
 import itertools
 import math
+import sys
+import threading
 
 import pytest
 
+from spmofdm import combinatorics
 from spmofdm.combinatorics import (
     bell,
     enumerate_ordered_partitions,
@@ -14,11 +17,33 @@ from spmofdm.combinatorics import (
     optimal_k,
     optimal_k_ordered,
     ordered_bell,
-    rank_combination,
     stirling2,
-    stirling2_explicit,
-    unrank_combination,
 )
+
+from combination_oracle import unrank_combination
+
+
+def stirling2_explicit(n, k):
+    """Oracle: S(n, k) by the alternating binomial sum, exact in integers."""
+    total = sum((-1) ** j * math.comb(k, j) * (k - j) ** n for j in range(k + 1))
+    q, r = divmod(total, math.factorial(k))
+    assert r == 0
+    return q
+
+
+def rank_combination(subset, n):
+    """Oracle: lexicographic rank of a strictly increasing k-subset of
+    {0..n-1}, the inverse of unrank_combination."""
+    k = len(subset)
+    rank = 0
+    prev = -1
+    for j, c in enumerate(subset):
+        if c <= prev or c >= n:
+            raise ValueError(f"subset must be strictly increasing within [0, {n})")
+        for x in range(prev + 1, c):
+            rank += math.comb(n - 1 - x, k - j - 1)
+        prev = c
+    return rank
 
 
 def brute_force_partitions(n, k):
@@ -91,6 +116,38 @@ class TestCounts:
             bell(0)
         with pytest.raises(ValueError):
             ordered_bell(0)
+
+
+    def test_triangle_rows_under_threads(self, monkeypatch):
+        # rows are appended in order under a lock: threads racing to extend
+        # a fresh triangle must not append a row twice or skip one
+        monkeypatch.setattr(combinatorics, "_TRIANGLE", [(1,)])
+        tops = [150, 120, 150, 90, 150, 130, 150, 60]
+        start = threading.Barrier(len(tops), timeout=60)
+        errors = []
+
+        def work(top):
+            try:
+                start.wait()
+                combinatorics.stirling2_row(top)
+            except Exception as e:  # reported below, from the main thread
+                errors.append(e)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in tops]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert len(combinatorics._TRIANGLE) == max(tops)
+        for n in (1, 2, 17, 64, 149, 150):
+            assert combinatorics.stirling2_row(n) == tuple(
+                stirling2_explicit(n, k) for k in range(1, n + 1))
 
 
 class TestEnumeration:

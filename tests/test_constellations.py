@@ -5,13 +5,41 @@ import math
 import numpy as np
 import pytest
 
-from spmofdm.constellations import (
-    export_family,
-    min_cross_distance,
-    min_intra_distance,
-    psk_family,
-    qam_family,
-)
+from spmofdm.constellations import ConstellationFamily, psk_family, qam_family
+
+
+def min_cross_distance(family: ConstellationFamily) -> float:
+    """Smallest distance between symbols of two different members."""
+    if family.K < 2:
+        raise ValueError("cross distance undefined for a single-member family")
+    best = math.inf
+    for a in range(family.K):
+        for b in range(a + 1, family.K):
+            d = np.abs(family.members[a][:, None] - family.members[b][None, :])
+            best = min(best, float(d.min()))
+    return best
+
+
+def min_intra_distance(family: ConstellationFamily) -> float:
+    """Smallest distance between two symbols of the same member."""
+    best = math.inf
+    for m in family.members:
+        if len(m) < 2:
+            continue
+        d = np.abs(m[:, None] - m[None, :])
+        np.fill_diagonal(d, np.inf)
+        best = min(best, float(d.min()))
+    if not math.isfinite(best):
+        raise ValueError("intra distance undefined: no member has two symbols")
+    return best
+
+
+def export_family(family: ConstellationFamily) -> str:
+    """Text dump: one 're im' line per symbol, blank line between members."""
+    blocks = []
+    for m in family.members:
+        blocks.append("\n".join(f"{s.real:.12g} {s.imag:.12g}" for s in m))
+    return "\n\n".join(blocks) + "\n"
 
 
 def brute_min_cross(family):
@@ -86,13 +114,13 @@ class TestPsk:
 
 class TestQam:
     def test_parent_16(self):
-        fam = qam_family(16, 0)
+        fam = qam_family(0)
         assert fam.K == 1 and len(fam.members[0]) == 16
         assert abs(np.mean(np.abs(fam.members[0]) ** 2) - 1.0) < 1e-12
         assert min_intra_distance(fam) == pytest.approx(2 / math.sqrt(10), abs=1e-12)
 
     def test_four_cosets(self):
-        fam = qam_family(16, 2)
+        fam = qam_family(2)
         assert fam.K == 4 and all(len(m) == 4 for m in fam.members)
         assert min_intra_distance(fam) == pytest.approx(4 / math.sqrt(10), abs=1e-12)
         assert min_cross_distance(fam) == pytest.approx(2 / math.sqrt(10), abs=1e-12)
@@ -101,32 +129,21 @@ class TestQam:
             assert abs(np.mean(np.abs(m) ** 2) - 1.0) < 1e-12
 
     def test_distance_doubling(self):
-        d0 = min_intra_distance(qam_family(16, 0))
-        d1 = min_intra_distance(qam_family(16, 1))
-        d2 = min_intra_distance(qam_family(16, 2))
+        d0 = min_intra_distance(qam_family(0))
+        d1 = min_intra_distance(qam_family(1))
+        d2 = min_intra_distance(qam_family(2))
         assert d1 == pytest.approx(d0 * math.sqrt(2), abs=1e-9)
         assert d2 == pytest.approx(d1 * math.sqrt(2), abs=1e-9)
 
-    def test_64qam(self):
-        for levels in (0, 1, 2, 3):
-            fam = qam_family(64, levels)
-            assert fam.K == 1 << levels
-            for m in fam.members:
-                assert abs(np.mean(np.abs(m) ** 2) - 1.0) < 1e-12
-            if levels:
-                assert min_cross_distance(fam) > 1e-9
-
     def test_coset_union_is_parent(self):
-        parent = np.sort_complex(qam_family(16, 0).members[0])
-        cosets = qam_family(16, 2)
+        parent = np.sort_complex(qam_family(0).members[0])
+        cosets = qam_family(2)
         union = np.sort_complex(np.concatenate(cosets.members))
         assert np.allclose(parent, union, atol=1e-12)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            qam_family(32, 1)
-        with pytest.raises(ValueError):
-            qam_family(16, 5)
+            qam_family(5)
 
 
 class TestDistances:
@@ -135,9 +152,8 @@ class TestDistances:
             psk_family(2, 2, 4),
             psk_family(4, 4, 4),
             psk_family(2, 4, 4),
-            qam_family(16, 1),
-            qam_family(16, 2),
-            qam_family(64, 2),
+            qam_family(1),
+            qam_family(2),
         ]
         for fam in fams:
             assert min_cross_distance(fam) > 1e-9

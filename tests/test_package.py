@@ -1,4 +1,5 @@
-"""Public surface: every exported name exists, every re-export is public."""
+"""Public surface: every exported name exists, every re-export is public,
+and every exported name has a caller outside the tests."""
 
 import ast
 import importlib
@@ -8,6 +9,7 @@ import spmofdm
 
 MODULES = ("analysis", "codebook", "combinatorics", "constellations", "selection",
            "simulation")
+ROOT = Path(spmofdm.__file__).parents[2]
 
 
 def test_all_names_exist():
@@ -27,3 +29,29 @@ def test_package_reexports_are_listed():
         unlisted = [a.name for a in node.names if a.name not in public]
         assert not unlisted, (node.module, unlisted)
         assert all(hasattr(spmofdm, a.name) for a in node.names)
+
+
+def _names_read(path):
+    """Every name, attribute and import alias in a file's code; strings and
+    docstrings do not count."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def test_every_export_has_a_caller():
+    # the library is what src/, the demos and perfbench read; a name only
+    # the tests call belongs with the tests
+    files = [p for p in (ROOT / "src" / "spmofdm").glob("*.py") if p.name != "__init__.py"]
+    files += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    assert len(files) > 10
+    read = set().union(*map(_names_read, files))
+    unread = {name: [n for n in importlib.import_module(f"spmofdm.{name}").__all__
+                     if n not in read] for name in MODULES}
+    assert not any(unread.values()), unread

@@ -21,19 +21,30 @@ from spmofdm.selection import (
     build_hamming_graph,
     clique_upper_bound,
     exact_max_clique,
-    export_edge_list,
     graph_from_edge_list,
-    hamming_distance,
     is_clique,
     solve,
     vertex_exclusion,
 )
-from spmofdm.combinatorics import floor_log2, unrank_combination
+from spmofdm.combinatorics import floor_log2
+
+from combination_oracle import unrank_combination
 
 TWO_GROUP_PATTERNS = [
     (0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0),
     (0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0),
 ]
+
+
+def hamming_distance(a, b):
+    return sum(x != y for x, y in zip(a, b))
+
+
+def export_edge_list(graph):
+    """One 'l lhat' line per edge, 0-based, l < lhat: the format
+    graph_from_edge_list reads."""
+    ii, jj = np.nonzero(np.triu(graph.adjacency, k=1))
+    return "\n".join(f"{i} {j}" for i, j in zip(ii, jj)) + "\n"
 
 
 def ospm_graph(n):
@@ -76,7 +87,6 @@ class TestGraph:
     def test_edge_list_round_trip(self):
         g = ospm_graph(4)
         h = graph_from_edge_list(export_edge_list(g))
-        assert h.patterns is None
         assert (h.adjacency == g.adjacency).all()
         assert vertex_exclusion(h).indices == vertex_exclusion(g).indices
 
@@ -85,6 +95,9 @@ class TestGraph:
             graph_from_edge_list("0 0\n")
         with pytest.raises(ValueError):
             graph_from_edge_list("1 2 3\n")
+        # rejected before the (L, L) adjacency, 8.88 PiB here, is allocated
+        with pytest.raises(ValueError, match="limit"):
+            graph_from_edge_list("0 1\n0 100000000\n")
 
 
 class TestUpperBound:
@@ -149,7 +162,7 @@ class TestBruteForce:
         for _ in range(30):
             L = int(rng.integers(4, 11))
             upper = np.triu(rng.random((L, L)) < 0.6, k=1)
-            g = HammingGraph(patterns=None, adjacency=upper | upper.T)
+            g = HammingGraph(adjacency=upper | upper.T)
             res = brute_force_k_clique(g)
             k = res.size
             first = next(
@@ -221,7 +234,7 @@ class TestExact:
     def test_deep_search_does_not_recurse(self):
         # one search level per clique vertex: far deeper than Python's
         # default recursion limit
-        g = HammingGraph(None, ~np.eye(1100, dtype=bool))
+        g = HammingGraph(~np.eye(1100, dtype=bool))
         res = exact_max_clique(g)
         assert res.size == 1100 and res.proven_optimal
 
