@@ -14,7 +14,6 @@ import numpy as np
 __all__ = [
     "union_bound_ber",
     "BoundResult",
-    "bound_csv_row",
 ]
 
 
@@ -28,7 +27,6 @@ def _pep_diagonal(z, g):
 
 @dataclass(frozen=True)
 class BoundResult:
-    snr_db: float
     ber_bound: float
     pairs: int  # ordered codeword pairs i != j, all summed
 
@@ -56,11 +54,4 @@ def union_bound_ber(codewords: np.ndarray, es_over_n0: float) -> BoundResult:
         d = np.bitwise_count(words[lo:hi, None] ^ words[None, :]).astype(float)
         partials.append(float((pep * d).sum()))  # i == j pairs carry D = 0
     total = math.fsum(partials)
-    return BoundResult(
-        snr_db=10.0 * math.log10(g), ber_bound=total / (f * J), pairs=J * (J - 1),
-    )
-
-
-def bound_csv_row(res: BoundResult) -> str:
-    """The bound is always the full pair sum, so exact_flag is always 1."""
-    return f"{res.snr_db:.9g},{res.ber_bound:.9g},{res.pairs},1"
+    return BoundResult(ber_bound=total / (f * J), pairs=J * (J - 1))

@@ -191,6 +191,12 @@ def cmd_codebook(cfg, args):
     return EXIT_OK
 
 
+def _select_row(res):
+    idx = " ".join(str(i) for i in res.indices)
+    return (f"{res.algorithm},{res.size},{res.bound},{res.elapsed_s * 1e3:.9g},"
+            f"{1 if res.settled else 0},{idx}")
+
+
 def cmd_select(cfg, args):
     algos = [a.strip() for a in cfg["algorithms"].split(",") if a.strip()]
     if not algos:
@@ -220,7 +226,7 @@ def cmd_select(cfg, args):
             status = EXIT_BUDGET
         if res.indices and not selection.is_clique(graph, res.indices):
             raise AssertionError(f"{algo} returned a non-clique")
-        rows.append(selection.clique_result_csv_row(res))
+        rows.append(_select_row(res))
         print(
             f"{algo}: size={res.size} bound={res.bound} "
             f"elapsed={res.elapsed_s * 1e3:.3f} ms"
@@ -230,11 +236,17 @@ def cmd_select(cfg, args):
     return status
 
 
+def _ber_row(p):
+    return (f"{p.snr_db:.9g},{p.bits_sent},{p.bit_errors},{p.ber:.9g},"
+            f"{p.index_ber:.9g},{p.mod_ber:.9g},{1 if p.converged else 0}")
+
+
 def cmd_ber(cfg, args):
     scheme = _scheme_from_config(cfg)
     sim = _call(simulation.SimConfig, cfg, scheme=scheme, snr_db_grid=_snr_grid(cfg))
     report = simulation.simulate_ber(sim, workers=args.workers)
-    rows = list(simulation.ber_csv_rows(report))
+    rows = ["snr_db,bits,errors,ber,index_ber,mod_ber,converged"]
+    rows += [_ber_row(p) for p in report.points]
     if cfg["with_bound"]:
         rows[0] += ",bound_ber"
         for i, p in enumerate(report.points, start=1):
@@ -254,7 +266,8 @@ def cmd_bound(cfg, args):
     rows = ["snr_db,bound_ber,pairs_enumerated,exact_flag"]
     for snr in _snr_grid(cfg):
         res = analysis.union_bound_ber(scheme.codewords, 10.0 ** (snr / 10.0))
-        rows.append(analysis.bound_csv_row(res))
+        # the bound is always the full pair sum, so exact_flag is always 1
+        rows.append(f"{snr:.9g},{res.ber_bound:.9g},{res.pairs},1")
     _write(_out_path(cfg, args, "bound"), cfg, rows, args.verbose)
     return EXIT_OK
 
@@ -310,8 +323,9 @@ def cmd_rate_mc(cfg, args):
     scheme = _scheme_from_config(cfg)
     sim = _call(simulation.SimConfig, cfg, scheme=scheme, snr_db_grid=_snr_grid(cfg))
     report = _call(simulation.estimate_rate, cfg, sim)
-    _write(_out_path(cfg, args, "rate_mc"), cfg, list(simulation.rate_csv_rows(report)),
-           args.verbose)
+    rows = ["snr_db,rate,stderr,draws"]
+    rows += [f"{p.snr_db:.9g},{p.rate:.9g},{p.stderr:.9g},{p.draws}" for p in report.points]
+    _write(_out_path(cfg, args, "rate_mc"), cfg, rows, args.verbose)
     for p in report.points:
         print(f"{scheme.name} @ {p.snr_db:g} dB: rate={p.rate:.4f} +- {p.stderr:.4f}")
     return EXIT_OK

@@ -219,12 +219,18 @@ class Scheme:
         return _frozen(self.f2 - np.cumsum(self.widths, axis=1))
 
     @functools.cached_property
-    def codewords(self) -> np.ndarray:
-        """(2^f, n) complex table; row index == transmitted bit word."""
+    def symbols(self) -> np.ndarray:
+        """(2^f, n) index of word w's point on each subcarrier into the
+        members laid end to end, np.concatenate(family.members)."""
+        starts = np.cumsum([0, *map(len, self.family.members[:-1])])
         r = np.arange(1 << self.f2)[None, :, None]
         sym = (r >> self.offsets[:, None]) & ((1 << self.widths[:, None]) - 1)
-        rows = self.points[self.patterns[:, None], sym]  # (2^f1, 2^f2, n)
-        return _frozen(rows.reshape(-1, self.n))
+        return _frozen((starts[self.patterns[:, None]] + sym).reshape(-1, self.n))
+
+    @functools.cached_property
+    def codewords(self) -> np.ndarray:
+        """(2^f, n) complex table; row index == transmitted bit word."""
+        return _frozen(np.concatenate(self.family.members)[self.symbols])
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -346,7 +352,7 @@ def _im_family(m: int, n: int, n_active: int) -> ConstellationFamily:
     """Active constellation boosted by sqrt(n/n_active) plus the null point,
     so per-block energy matches all-active schemes."""
     base = psk_family(m, 1, 1).members[0] * math.sqrt(n / n_active)
-    return ConstellationFamily(members=(base, np.zeros(1, dtype=complex)), M=m, K=2)
+    return ConstellationFamily(members=(base, np.zeros(1, dtype=complex)))
 
 
 def _take(family: ConstellationFamily, k: int) -> ConstellationFamily:
@@ -354,7 +360,7 @@ def _take(family: ConstellationFamily, k: int) -> ConstellationFamily:
         raise ValueError(f"family has {family.K} members, need {k}")
     if k == family.K:
         return family
-    return ConstellationFamily(members=family.members[:k], M=family.M, K=k)
+    return ConstellationFamily(members=family.members[:k])
 
 
 def build_scheme(

@@ -10,7 +10,6 @@ them per underlying partition into K blocks.
 """
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -18,7 +17,7 @@ from typing import Iterator
 # beyond this is never a desk-scale operation (bell(24) ~ 4.5e17).
 MAX_ENUM_N = 24
 # Counting guard for the variant table: the Stirling triangle up to n = 1000
-# takes a few seconds and about 200 MB to build.
+# takes a few seconds to build.
 MAX_COUNT_N = 1000
 
 __all__ = [
@@ -43,21 +42,24 @@ def _check_nk(n: int, k: int) -> None:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
 
 
-_TRIANGLE = [(1,)]  # rows 1, 2, ... of the Stirling triangle built so far
-_TRIANGLE_LOCK = threading.Lock()
+# The last row of the Stirling triangle built. Each call reads it once and
+# rebinds it whole, so threads racing on it each get their own exact row.
+_ROW = (1,)
 
 
 def stirling2_row(n: int) -> tuple[int, ...]:
-    """Row (S(n,1), ..., S(n,n)) of the Stirling-number triangle. Rows are
-    built once each, in order, and kept."""
+    """Row (S(n,1), ..., S(n,n)) of the Stirling-number triangle, built on
+    from the kept row when that is no longer than n, else from row 1; the
+    result becomes the kept row."""
+    global _ROW
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    with _TRIANGLE_LOCK:
-        while len(_TRIANGLE) < n:
-            prev = _TRIANGLE[-1]
-            mid = (k * prev[k - 1] + prev[k - 2] for k in range(2, len(prev) + 1))
-            _TRIANGLE.append((1, *mid, 1))
-    return _TRIANGLE[n - 1]
+    row = _ROW if len(_ROW) <= n else (1,)
+    while len(row) < n:
+        mid = (k * row[k - 1] + row[k - 2] for k in range(2, len(row) + 1))
+        row = (1, *mid, 1)
+    _ROW = row
+    return row
 
 
 def stirling2(n: int, k: int) -> int:
@@ -68,15 +70,11 @@ def stirling2(n: int, k: int) -> int:
 
 def bell(n: int) -> int:
     """Total number of partitions of an n-element set."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     return sum(stirling2_row(n))
 
 
 def ordered_bell(n: int) -> int:
     """Number of ordered partitions (partitions with ordered blocks)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     return sum(math.factorial(k + 1) * s for k, s in enumerate(stirling2_row(n)))
 
 
@@ -156,19 +154,15 @@ def optimal_k(n: int) -> OptimalK:
     stirling2(n, .) found by exact comparison. For n = 1 the floor
     candidate is 0, which is outside the valid k range but kept so the
     reported pair is exactly the formula's."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    row = stirling2_row(n)
     t = math.exp(lambert_w(float(n))) - 1.0
     candidates = tuple(sorted({math.floor(t), math.ceil(t)}))
-    row = stirling2_row(n)
     argmax = max(range(n), key=lambda i: (row[i], -i)) + 1
     return OptimalK(candidates=candidates, argmax=argmax)
 
 
 def optimal_k_ordered(n: int) -> int:
     """Block count maximizing k! * stirling2(n, k), by exact comparison."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     row = stirling2_row(n)
     vals = [math.factorial(k + 1) * s for k, s in enumerate(row)]
     return max(range(n), key=lambda i: (vals[i], -i)) + 1

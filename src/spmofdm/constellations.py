@@ -37,12 +37,19 @@ class ConstellationFamily:
     """K disjoint constellations; members[k][b] is the symbol for bit word b."""
 
     members: tuple[np.ndarray, ...]
-    M: int  # points per data constellation
-    K: int
 
     def __post_init__(self):
         for m in self.members:
             m.setflags(write=False)
+
+    @property
+    def M(self) -> int:
+        """Points per data constellation: the largest member's size."""
+        return max(map(len, self.members))
+
+    @property
+    def K(self) -> int:
+        return len(self.members)
 
     def bits_per_symbol(self, label: int) -> int:
         return int(math.log2(len(self.members[label])))
@@ -72,7 +79,7 @@ def psk_family(M: int, K: int, rotation_slots: int | None = None) -> Constellati
     for k in range(K):
         ang = 2.0 * np.pi * np.arange(M) / M + 2.0 * k * math.pi / (M * G)
         members.append(_gray_permute(np.exp(1j * ang)))
-    return ConstellationFamily(members=tuple(members), M=M, K=K)
+    return ConstellationFamily(members=tuple(members))
 
 
 def _square_grid() -> tuple[np.ndarray, np.ndarray]:
@@ -144,5 +151,5 @@ def qam_family(levels: int) -> ConstellationFamily:
         arr = _gray_label_grid(p, c)
         arr = arr / math.sqrt(float(np.mean(np.abs(arr) ** 2)))
         members.append(arr)
-    return ConstellationFamily(members=tuple(members), M=QAM_PARENT >> levels, K=1 << levels)
+    return ConstellationFamily(members=tuple(members))
 

@@ -35,7 +35,6 @@ __all__ = [
     "vertex_exclusion",
     "exact_max_clique",
     "solve",
-    "clique_result_csv_row",
 ]
 
 # Default wall-clock budget of the exact solver, in seconds.
@@ -235,12 +234,8 @@ def exact_max_clique(graph: HammingGraph, time_budget: float = TIME_BUDGET_S) ->
     t0 = time.perf_counter()
     deadline = t0 + time_budget
     L = graph.order
-    adj_masks = []
-    for i in range(L):
-        mask = 0
-        for j in np.nonzero(graph.adjacency[i])[0]:
-            mask |= 1 << int(j)
-        adj_masks.append(mask)
+    adj_masks = [int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+                 for row in graph.adjacency]
 
     best: list[int] = []
     current: list[int] = []
@@ -328,9 +323,3 @@ def graph_from_edge_list(text: str) -> HammingGraph:
     for i, j in edges:
         adj[i, j] = adj[j, i] = True
     return HammingGraph(adj)
-
-
-def clique_result_csv_row(res: CliqueResult) -> str:
-    idx = " ".join(str(i) for i in res.indices)
-    return (f"{res.algorithm},{res.size},{res.bound},{res.elapsed_s * 1e3:.9g},"
-            f"{1 if res.settled else 0},{idx}")

@@ -30,8 +30,6 @@ __all__ = [
     "RateReport",
     "simulate_ber",
     "estimate_rate",
-    "ber_csv_rows",
-    "rate_csv_rows",
 ]
 
 BATCH_BLOCKS = 4096  # blocks per RNG stream; fixed, part of the reproducibility contract
@@ -146,8 +144,6 @@ class BerPoint:
 
 @dataclass(frozen=True)
 class BerReport:
-    scheme: str
-    seed: int
     points: tuple[BerPoint, ...]
 
     @property
@@ -223,9 +219,7 @@ def simulate_ber(config: SimConfig, workers: int = 1) -> BerReport:
     finally:
         if pool:
             pool.shutdown()
-    return BerReport(
-        scheme=scheme.name, seed=config.master_seed, points=tuple(points),
-    )
+    return BerReport(points=tuple(points))
 
 
 @dataclass(frozen=True)
@@ -238,8 +232,6 @@ class RatePoint:
 
 @dataclass(frozen=True)
 class RateReport:
-    scheme: str
-    seed: int
     points: tuple[RatePoint, ...]
 
 
@@ -250,59 +242,47 @@ def estimate_rate(config: SimConfig, draws: int = 4096) -> RateReport:
     """Achievable rate by Monte-Carlo average of the mutual-information
     log-sum-exp term over channel and noise draws.
 
-    For each draw, every candidate i contributes log2 sum_j exp(d(i,j))
-    with d(i,j) = (||n||^2 - ||h o (x_i - x_j) + n||^2) / N0, evaluated in
-    max-shifted form; the rate is (f - mean over draws and i) / n. The
-    number of draws is rounded up to whole batches.
+    For each draw, every word i contributes log2 sum_j exp(d(i,j)) with
+    d(i,j) = (||n||^2 - ||h o (x_i - x_j) + n||^2) / N0; the rate is
+    (f - mean over draws and i) / n. A word is a pattern plus one point per
+    subcarrier, so the sum over the words j of pattern q factorises per
+    subcarrier: e[b, t, x, k] is the log-sum-exp of d_t over the points of
+    member k, and word i's term is the log-sum-exp over the mapped patterns
+    q of sum_t e[b, t, x_it, q_t], at J*P*n per draw. The number of draws is
+    rounded up to whole batches.
     """
     scheme = config.scheme
-    X = scheme.codewords
-    J, n = X.shape
-    if J > 8192:
-        raise ValueError(f"rate estimator is exhaustive over pairs; 2^f={J} too large")
-    f = scheme.f
-    n_batches = max(1, math.ceil(draws / _DRAW_BATCH))
-    i_chunk = max(1, (1 << 22) // (J * _DRAW_BATCH))  # keep tiles ~4M elements
+    members, pats, sym = scheme.family.members, scheme.patterns, scheme.symbols
+    x = np.concatenate(members)  # the T points that sym indexes
+    (J, n), T, P = sym.shape, len(x), len(pats)
+    B = _DRAW_BATCH
+    n_batches = max(1, math.ceil(draws / B))
+    tile = max(1, (1 << 22) // (B * P))  # words per (B, tile, P) block
+    # -N0 d_t(x, s) = |h|^2 |x - s|^2 + 2 Re(conj(x - s) conj(h) n) is
+    # [|h|^2, Re(conj(h) n), Im(conj(h) n)] @ coef, one (3, T * |member|)
+    # coef per member: its distinct points, not their repeats in Scheme.points
+    diffs = [x[:, None] - s[None, :] for s in members]
+    coefs = [np.stack([np.abs(d) ** 2, 2.0 * d.real, 2.0 * d.imag]).reshape(3, -1)
+             for d in diffs]
     points = []
     for si, snr_db in enumerate(config.snr_db_grid):
         n0 = snr_db_to_n0(snr_db)
         t_vals = []
         for bi in range(n_batches):
             gen = _stream(config.master_seed, _TAG_RATE, si, bi)
-            B = _DRAW_BATCH
             h, noise = _draw_channel(gen, B, n, n0)
-            a = (np.abs(h) ** 2).T  # (n, B)
-            u = (np.conj(h) * noise).T  # (n, B)
+            u = np.conj(h) * noise
+            feat = np.stack([np.abs(h) ** 2, u.real, u.imag], axis=-1).reshape(-1, 3)
+            e = np.stack([logsumexp(-(feat @ c).reshape(B, n, T, -1) / n0, axis=-1)
+                          for c in coefs], axis=-1)  # (B, n, T, K)
+            e_pat = [e[:, t][:, :, pats[:, t]] for t in range(n)]  # n x (B, T, P)
             acc = np.zeros(B)
-            for lo in range(0, J, i_chunk):
-                hi = min(J, lo + i_chunk)
-                D = X[lo:hi, None, :] - X[None, :, :]  # (ci, J, n)
-                ci = hi - lo
-                Dm = D.reshape(ci * J, n)
-                quad = (np.abs(Dm) ** 2) @ a  # (ci*J, B)
-                cross = 2.0 * (np.conj(Dm) @ u).real
-                delta = -(quad + cross) / n0
-                acc += logsumexp(delta.reshape(ci, J, B), axis=1).sum(axis=0)
+            for lo in range(0, J, tile):
+                g = sum(e_pat[t][:, sym[lo : lo + tile, t]] for t in range(n))
+                acc += logsumexp(g, axis=-1).sum(axis=1)  # (B, tile, P) -> (B,)
             t_vals.append(acc / (J * math.log(2.0)))
         t = np.concatenate(t_vals)
-        rate_val = (f - float(t.mean())) / n
+        rate_val = (scheme.f - float(t.mean())) / n
         stderr = float(t.std(ddof=1)) / math.sqrt(t.size) / n
         points.append(RatePoint(snr_db=snr_db, rate=rate_val, stderr=stderr, draws=t.size))
-    return RateReport(
-        scheme=scheme.name, seed=config.master_seed, points=tuple(points),
-    )
-
-
-def ber_csv_rows(report: BerReport):
-    yield "snr_db,bits,errors,ber,index_ber,mod_ber,converged"
-    for p in report.points:
-        yield (
-            f"{p.snr_db:.9g},{p.bits_sent},{p.bit_errors},{p.ber:.9g},"
-            f"{p.index_ber:.9g},{p.mod_ber:.9g},{1 if p.converged else 0}"
-        )
-
-
-def rate_csv_rows(report: RateReport):
-    yield "snr_db,rate,stderr,draws"
-    for p in report.points:
-        yield f"{p.snr_db:.9g},{p.rate:.9g},{p.stderr:.9g},{p.draws}"
+    return RateReport(points=tuple(points))

@@ -446,6 +446,19 @@ class TestRateCommands:
         rate_val = float(lines[1].split(",")[1])
         assert abs(rate_val - 1.5) < 0.01  # saturated at f/N = 6/4
 
+    def test_rate_mc_past_the_old_pair_cap(self, tmp_path):
+        # dm(4,2,8): J = 2^14 words on P = 4 patterns; the per-subcarrier
+        # estimator costs J*P*n per draw and has no size cap
+        p = write_cfg(tmp_path, "rm.cfg", "variant=dm\nn=4\nm=8\n"
+                      "snr_start=10\nsnr_stop=10\nsnr_step=1\ndraws=256\n")
+        out = tmp_path / "mc.csv"
+        assert run("rate-mc", p, out) == EXIT_OK
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert lines[0] == "snr_db,rate,stderr,draws"
+        snr, rate_val, _, draws = lines[1].split(",")
+        assert (snr, draws) == ("10", "256")
+        assert 0.0 < float(rate_val) < 14 / 4
+
 
 SCHEME_CONFIGS = [c for c in COMMITTED_CONFIGS if c.startswith(("ber_", "rate_mc_"))]
 

@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -116,27 +117,31 @@ class TestCounts:
             bell(0)
         with pytest.raises(ValueError):
             ordered_bell(0)
+        for fn in (bell, ordered_bell, optimal_k, optimal_k_ordered,
+                   combinatorics.stirling2_row):
+            with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+                fn(0)
 
 
     def test_triangle_rows_under_threads(self, monkeypatch):
-        # rows are appended in order under a lock: threads racing to extend
-        # a fresh triangle must not append a row twice or skip one
-        monkeypatch.setattr(combinatorics, "_TRIANGLE", [(1,)])
+        # each call builds from a snapshot of the kept row: threads racing
+        # up and down from a fresh cache must each get their own exact row
+        monkeypatch.setattr(combinatorics, "_ROW", (1,))
         tops = [150, 120, 150, 90, 150, 130, 150, 60]
         start = threading.Barrier(len(tops), timeout=60)
-        errors = []
+        rows, errors = {}, []
 
-        def work(top):
+        def work(i, top):
             try:
                 start.wait()
-                combinatorics.stirling2_row(top)
+                rows[i] = combinatorics.stirling2_row(top)
             except Exception as e:  # reported below, from the main thread
                 errors.append(e)
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=work, args=(t,)) for t in tops]
+            threads = [threading.Thread(target=work, args=it) for it in enumerate(tops)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -144,10 +149,26 @@ class TestCounts:
         finally:
             sys.setswitchinterval(old)
         assert not any(t.is_alive() for t in threads) and not errors
-        assert len(combinatorics._TRIANGLE) == max(tops)
+        assert len(combinatorics._ROW) in tops
+        for i, top in enumerate(tops):
+            assert rows[i] == tuple(stirling2_explicit(top, k) for k in range(1, top + 1))
         for n in (1, 2, 17, 64, 149, 150):
             assert combinatorics.stirling2_row(n) == tuple(
                 stirling2_explicit(n, k) for k in range(1, n + 1))
+
+    def test_cache_holds_one_row(self, monkeypatch):
+        # a sweep to n keeps one row of n big integers, not the n(n+1)/2 of
+        # the whole triangle
+        monkeypatch.setattr(combinatorics, "_ROW", (1,))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            row = combinatorics.stirling2_row(400)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert combinatorics._ROW is row
+        assert held < 1 << 20, held  # the whole triangle to 400 is over 10 MB
 
 
 class TestEnumeration:

@@ -112,6 +112,17 @@ class TestPsk:
             psk_family(4, 5, 4)
 
 
+class TestDerivedSizes:
+    def test_m_and_k_follow_members(self):
+        for fam, M, K in ((psk_family(8, 3, 4), 8, 3), (qam_family(2), 4, 4),
+                          (ConstellationFamily(members=(np.ones(4), np.zeros(1))), 4, 2)):
+            assert (fam.M, fam.K) == (M, K)
+            with pytest.raises(AttributeError):
+                fam.M = 2
+            with pytest.raises(AttributeError):
+                fam.K = 1
+
+
 class TestQam:
     def test_parent_16(self):
         fam = qam_family(0)

@@ -23,6 +23,7 @@ from spmofdm.simulation import (
 )
 
 from codeword_oracle import expand_codeword
+from rate_oracle import estimate_rate_pairs
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 BER_CONFIGS = sorted(os.path.relpath(p, CONFIG_DIR)
@@ -271,3 +272,25 @@ class TestRateEstimator:
         scheme = build_scheme("spm", 4, k=2, m=2, selection="alg1")
         cfg = SimConfig(scheme=scheme, snr_db_grid=(10.0,), master_seed=5)
         assert estimate_rate(cfg, draws=512) == estimate_rate(cfg, draws=512)
+
+    @pytest.mark.parametrize("variant", [
+        # ofdm-im's null member has one point: summing its point-table
+        # repeats instead would be wrong by nats per term
+        dict(variant="ofdm-im", n=4, n_active=2, m=4),
+        dict(variant="ofdm-im", n=4, n_active=2, m=8),
+        dict(variant="ofdm-im", n=4, n_active=3, m=4),
+        dict(variant="ospm", n=4, k=2, m=2, selection="alg1"),
+        dict(variant="mm", n=2, m=2),
+        dict(variant="ofdm", n=1, m=2),
+        dict(variant="fspm", n=3, m=4, constellation="qam"),  # three 4-point cosets
+        dict(variant="ofspm", n=4, m=2),  # J = 1024, P = 64: four word tiles
+    ], ids=lambda v: "-".join(str(x) for x in v.values()))
+    def test_matches_pair_oracle(self, variant):
+        scheme = build_scheme(**variant)
+        grid = (0.0, 15.0, 40.0) if scheme.f < 10 else (15.0,)
+        cfg = SimConfig(scheme=scheme, snr_db_grid=grid, master_seed=5)
+        got, ref = estimate_rate(cfg, draws=256), estimate_rate_pairs(cfg, draws=256)
+        assert len(got.points) == len(ref.points) == len(grid)
+        for p, q in zip(got.points, ref.points):
+            assert (p.snr_db, p.draws) == (q.snr_db, q.draws)
+            assert abs(p.rate - q.rate) <= 1e-12 and abs(p.stderr - q.stderr) <= 1e-12
