@@ -28,30 +28,23 @@ def _pep_diagonal(z, g):
 @dataclass(frozen=True)
 class BoundResult:
     ber_bound: float
-    pairs: int  # ordered codeword pairs i != j, all summed
+    pairs: int  # ordered pairs i != j summed: each unordered pair computed once, doubled
 
 
 def union_bound_ber(codewords: np.ndarray, es_over_n0: float) -> BoundResult:
     """Union bound on BER under uncorrelated fading:
-    (1 / (f 2^f)) sum_{i,j} PEP(i->j) D(i,j), where D is the Hamming
+    (1 / (f 2^f)) sum_{i != j} PEP(i->j) D(i,j), where D is the Hamming
     distance between the f-bit words i and j (the codeword row index is the
-    transmitted word). Every ordered pair is enumerated.
+    transmitted word). PEP and D are symmetric in (i, j), so each unordered
+    pair is computed once, row by row over the upper triangle, and the sum
+    is doubled.
     """
     X = np.asarray(codewords)
-    J, n = X.shape
+    J = X.shape[0]
     f = int(math.log2(J))
     if 1 << f != J:
         raise ValueError(f"codeword count {J} is not a power of two")
-    g = es_over_n0
-
     words = np.arange(J, dtype=np.uint64)
-    chunk = max(1, (1 << 22) // (J * n))
-    partials = []
-    for lo in range(0, J, chunk):
-        hi = min(J, lo + chunk)
-        z = np.abs(X[lo:hi, None, :] - X[None, :, :]) ** 2  # (ci, J, n)
-        pep = _pep_diagonal(z, g)
-        d = np.bitwise_count(words[lo:hi, None] ^ words[None, :]).astype(float)
-        partials.append(float((pep * d).sum()))  # i == j pairs carry D = 0
-    total = math.fsum(partials)
-    return BoundResult(ber_bound=total / (f * J), pairs=J * (J - 1))
+    rows = [_pep_diagonal(np.abs(X[i + 1 :] - X[i]) ** 2, es_over_n0)
+            @ np.bitwise_count(words[i + 1 :] ^ words[i]) for i in range(J - 1)]
+    return BoundResult(ber_bound=2.0 * math.fsum(rows) / (f * J), pairs=J * (J - 1))

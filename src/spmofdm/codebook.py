@@ -269,22 +269,16 @@ def codebook_dmin(codewords: np.ndarray) -> tuple[float, float, int]:
     if j < 2:
         raise ValueError("need at least 2 codewords")
     best = math.inf
-    best_rl = math.inf
-    min_rank = X.shape[1] + 1
+    best_rl = (X.shape[1] + 1, math.inf)  # (rank, d^2), compared lexicographically
     for i in range(j - 1):
-        diff = X[i + 1 :] - X[i]
-        d2 = np.abs(diff) ** 2
+        d2 = np.abs(X[i + 1 :] - X[i]) ** 2
         dist2 = d2.sum(axis=1)
         ranks = (d2 > 1e-24).sum(axis=1)
         best = min(best, float(dist2.min()))
         r = int(ranks.min())
-        if r < min_rank:
-            min_rank = r
-            best_rl = math.inf
-        sel = ranks == min_rank
-        if sel.any():
-            best_rl = min(best_rl, float(dist2[sel].min()))
-    return math.sqrt(best), math.sqrt(best_rl), min_rank
+        best_rl = min(best_rl, (r, float(dist2[ranks == r].min())))
+    min_rank, d2_rl = best_rl
+    return math.sqrt(best), math.sqrt(d2_rl), min_rank
 
 
 @dataclass(frozen=True)

@@ -110,15 +110,11 @@ def build_hamming_graph(patterns) -> HammingGraph:
     if len(set(pats)) != len(pats):
         raise ValueError("duplicate patterns")
     arr = np.array(pats)
-    # row-chunked so the (L, L, n) broadcast never materializes whole
     L = len(pats)
-    adj = np.empty((L, L), dtype=bool)
-    step = max(1, (1 << 22) // (L * n))
-    for lo in range(0, L, step):
-        hi = min(L, lo + step)
-        d = (arr[lo:hi, None, :] != arr[None, :, :]).sum(axis=2)
-        adj[lo:hi] = d >= 2
-    np.fill_diagonal(adj, False)
+    adj = np.zeros((L, L), dtype=bool)
+    for i in range(L - 1):  # upper triangle row by row, then mirrored
+        adj[i, i + 1 :] = (arr[i + 1 :] != arr[i]).sum(axis=1) >= 2
+    adj |= adj.T
     return HammingGraph(adj)
 
 
@@ -179,25 +175,21 @@ def brute_force_k_clique(graph: HammingGraph, budget: int | None = None) -> Cliq
 
 def vertex_exclusion(graph: HammingGraph) -> CliqueResult:
     """Drop a minimum-degree vertex (ties: lowest index) until the remaining
-    vertices are pairwise adjacent. Degrees are updated incrementally. The
-    eigenvalue bound is attached to the result for reporting only."""
+    vertices are pairwise adjacent. miss[v] counts v's non-neighbours among
+    the other remaining vertices, so the vertex to drop is the first maximum
+    of miss; a dropped vertex is set to -L, which later decrements keep
+    negative. The eigenvalue bound is attached to the result for reporting
+    only."""
     bound = clique_upper_bound(graph)
     t0 = time.perf_counter()
     adj = graph.adjacency
     L = graph.order
-    active = np.ones(L, dtype=bool)
-    deg = graph.degrees
-    remaining = L
-    while True:
-        idx = np.nonzero(active)[0]
-        degs = deg[idx]
-        if (degs == remaining - 1).all():
-            break
-        vmin = idx[int(np.argmin(degs))]  # argmin returns the first minimum
-        active[vmin] = False
-        deg[adj[vmin]] -= 1
-        remaining -= 1
-    indices = tuple(int(i) for i in np.nonzero(active)[0])
+    miss = (L - 1) - graph.degrees
+    while miss.max() > 0:
+        v = int(miss.argmax())  # argmax returns the first maximum
+        miss[~adj[v]] -= 1
+        miss[v] = -L
+    indices = tuple(int(i) for i in np.nonzero(miss >= 0)[0])
     return CliqueResult(
         indices=indices, algorithm="alg2", bound=bound,
         elapsed_s=time.perf_counter() - t0,

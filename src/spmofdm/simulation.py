@@ -64,6 +64,8 @@ class SimConfig:
             raise ValueError("min_bit_errors must be >= 1")
         if self.max_blocks < BATCH_BLOCKS:
             raise ValueError(f"max_blocks must be >= {BATCH_BLOCKS} (one batch)")
+        if not 0 <= self.master_seed < 1 << 128:
+            raise ValueError(f"seed must be in [0, 2^128), got {self.master_seed}")
 
 
 def _detect_batch(y, h, codewords):
@@ -251,12 +253,14 @@ def estimate_rate(config: SimConfig, draws: int = 4096) -> RateReport:
     q of sum_t e[b, t, x_it, q_t], at J*P*n per draw. The number of draws is
     rounded up to whole batches.
     """
+    if draws < 1:
+        raise ValueError(f"draws must be >= 1, got {draws}")
     scheme = config.scheme
     members, pats, sym = scheme.family.members, scheme.patterns, scheme.symbols
     x = np.concatenate(members)  # the T points that sym indexes
     (J, n), T, P = sym.shape, len(x), len(pats)
     B = _DRAW_BATCH
-    n_batches = max(1, math.ceil(draws / B))
+    n_batches = math.ceil(draws / B)
     tile = max(1, (1 << 22) // (B * P))  # words per (B, tile, P) block
     # -N0 d_t(x, s) = |h|^2 |x - s|^2 + 2 Re(conj(x - s) conj(h) n) is
     # [|h|^2, Re(conj(h) n), Im(conj(h) n)] @ coef, one (3, T * |member|)

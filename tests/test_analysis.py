@@ -10,6 +10,8 @@ from scipy.special import erfc
 from spmofdm.analysis import _pep_diagonal, union_bound_ber
 from spmofdm.codebook import build_scheme
 
+from bound_oracle import union_bound_ber_pairs
+
 _SUPPORT_TOL = 1e-12
 
 
@@ -150,3 +152,18 @@ class TestUnionBound:
                     continue
                 z = np.abs(X[i] - X[j]) ** 2
                 assert (z > 1e-12).sum() >= 2
+
+    @pytest.mark.parametrize("variant", [
+        dict(variant="ofdm-im", n=4, n_active=2, m=4),  # the null point carries 0 bits
+        dict(variant="mm", n=2, m=2),
+        dict(variant="ospm", n=4, k=2, m=2, selection="alg1"),
+        dict(variant="fspm", n=3, m=4, constellation="qam"),
+        dict(variant="ofspm", n=4, m=2, selection="alg2"),  # J = 512
+    ], ids=lambda v: "-".join(str(x) for x in v.values()))
+    def test_matches_pair_oracle(self, variant):
+        X = build_scheme(**variant).codewords
+        for db in (0.0, 20.0, 40.0):
+            g = 10 ** (db / 10)
+            got, ref = union_bound_ber(X, g), union_bound_ber_pairs(X, g)
+            assert got.pairs == ref.pairs == X.shape[0] * (X.shape[0] - 1)
+            assert abs(got.ber_bound - ref.ber_bound) <= 1e-12 * ref.ber_bound

@@ -306,6 +306,16 @@ class TestBerCommand:
         )
         assert run("ber", p, tmp_path / "n.csv") == EXIT_CONFIG
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 128], ids=["minus_one", "two_to_128"])
+    def test_seed_out_of_range(self, tmp_path, capsys, seed):
+        # the Philox key is 128 bits: seed=-1 would run as 2^128 - 1
+        p = write_cfg(tmp_path, "b.cfg", "variant=mm\nn=2\nm=2\n"
+                      f"snr_start=10\nsnr_stop=10\nsnr_step=1\nseed={seed}\n")
+        out = tmp_path / "b.csv"
+        assert run("ber", p, out) == EXIT_CONFIG
+        assert not out.exists()
+        assert "config error: seed must be in [0, 2^128)" in capsys.readouterr().err
+
     def test_with_bound_column(self, tmp_path):
         p = write_cfg(
             tmp_path, "b.cfg",
@@ -445,6 +455,15 @@ class TestRateCommands:
         assert lines[0] == "snr_db,rate,stderr,draws"
         rate_val = float(lines[1].split(",")[1])
         assert abs(rate_val - 1.5) < 0.01  # saturated at f/N = 6/4
+
+    @pytest.mark.parametrize("draws", [0, -7])
+    def test_rate_mc_draws_below_one(self, tmp_path, capsys, draws):
+        p = write_cfg(tmp_path, "rm.cfg", "variant=mm\nn=2\nm=2\n"
+                      f"snr_start=10\nsnr_stop=10\nsnr_step=1\ndraws={draws}\n")
+        out = tmp_path / "mc.csv"
+        assert run("rate-mc", p, out) == EXIT_CONFIG
+        assert not out.exists()
+        assert "config error: draws must be >= 1" in capsys.readouterr().err
 
     def test_rate_mc_past_the_old_pair_cap(self, tmp_path):
         # dm(4,2,8): J = 2^14 words on P = 4 patterns; the per-subcarrier

@@ -28,6 +28,7 @@ from spmofdm.selection import (
 )
 from spmofdm.combinatorics import floor_log2
 
+from alg2_oracle import vertex_exclusion_degrees
 from combination_oracle import unrank_combination
 
 TWO_GROUP_PATTERNS = [
@@ -79,6 +80,15 @@ class TestGraph:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             build_hamming_graph([(0, 1), (0, 1, 1)])
+
+    @pytest.mark.parametrize("variant,n,kwargs", [
+        ("ospm", 6, dict(k=2)), ("ofspm", 4, {}), ("mm", 4, {}),
+    ], ids=["ospm6", "ofspm4", "mm4"])
+    def test_matches_pairwise_distances(self, variant, n, kwargs):
+        pats = build_index_codebook(variant, n, **kwargs).patterns
+        adj = build_hamming_graph(pats).adjacency
+        want = [[hamming_distance(p, q) >= 2 for q in pats] for p in pats]
+        assert adj.tolist() == want
 
     def test_edge_list_export(self):
         g = build_hamming_graph([(0, 0, 0), (1, 1, 0), (0, 0, 1)])
@@ -213,6 +223,14 @@ class TestVertexExclusion:
     def test_deterministic(self):
         g = ofspm_graph(4)
         assert vertex_exclusion(g).indices == vertex_exclusion(g).indices
+
+    @pytest.mark.parametrize("variant,n", [
+        ("ofspm", 3), ("ofspm", 4), ("ofspm", 5), ("ofspm", 6),
+        ("ospm", 4), ("ospm", 6), ("ospm", 8),
+    ])  # the graphs of configs/select
+    def test_matches_degree_oracle(self, variant, n):
+        g = ospm_graph(n) if variant == "ospm" else ofspm_graph(n)
+        assert vertex_exclusion(g).indices == vertex_exclusion_degrees(g)
 
 
 class TestExact:
