@@ -266,7 +266,8 @@ def cmd_bound(cfg, args):
     rows = ["snr_db,bound_ber,pairs_enumerated,exact_flag"]
     for snr in _snr_grid(cfg):
         res = analysis.union_bound_ber(scheme.codewords, 10.0 ** (snr / 10.0))
-        # the bound is always the full pair sum, so exact_flag is always 1
+        # the bound is exact over all J(J - 1) ordered pairs (none is
+        # sampled), so exact_flag is always 1
         rows.append(f"{snr:.9g},{res.ber_bound:.9g},{res.pairs},1")
     _write(_out_path(cfg, args, "bound"), cfg, rows, args.verbose)
     return EXIT_OK
@@ -351,6 +352,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.error(f"argument --workers: must be >= 1, got {args.workers}")
     try:
         cfg = load_config(args.config)
         return _COMMANDS[args.command](cfg, args)

@@ -18,6 +18,8 @@ from spmofdm.cli import (
     main,
 )
 
+from bound_oracle import union_bound_ber_pairs
+
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 COMMITTED_CONFIGS = sorted(
@@ -290,6 +292,17 @@ class TestBerCommand:
         body2 = [l for l in out2.read_text().splitlines() if not l.startswith("#")]
         assert body1 != body2
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one(self, tmp_path, capsys, workers):
+        p = write_cfg(tmp_path, "b.cfg", "variant=mm\nn=2\nm=2\n"
+                      "snr_start=10\nsnr_stop=10\nsnr_step=1\n")
+        out = tmp_path / "b.csv"
+        with pytest.raises(SystemExit) as exc:
+            run("ber", p, out, "--workers", workers)
+        assert exc.value.code == EXIT_CONFIG
+        assert not out.exists()
+        assert f"--workers: must be >= 1, got {workers}" in capsys.readouterr().err
+
     def test_nonconvergence_exit(self, tmp_path):
         p = write_cfg(
             tmp_path, "b.cfg",
@@ -342,6 +355,21 @@ class TestBoundCommand:
         assert lines[0] == "snr_db,bound_ber,pairs_enumerated,exact_flag"
         assert len(lines) == 4
         assert all(row.endswith(",1") for row in lines[1:])
+
+    def test_sparse_table(self, tmp_path, capsys):
+        # ofdm-im(8,1,8): 64 codewords over 9^8 per-subcarrier code tuples,
+        # so both the bound and d_min walk the codeword pairs
+        p = write_cfg(tmp_path, "bd.cfg", "variant=ofdm-im\nn=8\nn_active=1\nm=8\n"
+                      "snr_start=10\nsnr_stop=10\nsnr_step=1\n")
+        out = tmp_path / "bound.csv"
+        assert run("bound", p, out) == EXIT_OK
+        lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        snr, ber, pairs, exact = lines[1].split(",")
+        ref = union_bound_ber_pairs(_scheme_from_config(load_config(p)).codewords, 10.0)
+        assert float(ber) == pytest.approx(ref.ber_bound, rel=1e-8)
+        assert (snr, pairs, exact) == ("10", "4032", "1")
+        assert run("codebook", p, tmp_path / "o.txt") == EXIT_OK
+        assert "min_rank=1" in capsys.readouterr().out
 
     @pytest.mark.parametrize("grid", [
         "snr_start=0\nsnr_stop=inf\nsnr_step=1\n",

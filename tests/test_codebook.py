@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from spmofdm import analysis, codebook
+from spmofdm.analysis import union_bound_ber
 from spmofdm.codebook import (
+    MAX_CONTRACTION_SIZE,
     VARIANTS,
     IndexCodebook,
     Scheme,
@@ -14,6 +17,7 @@ from spmofdm.codebook import (
     asymptotic_rate,
     build_index_codebook,
     build_scheme,
+    _dmin_pairs,
     codebook_dmin,
     export_codebook,
     rate,
@@ -29,6 +33,7 @@ from spmofdm.combinatorics import (
 from spmofdm.constellations import psk_family
 from spmofdm.selection import BudgetExhausted, build_hamming_graph, is_clique
 
+from bound_oracle import union_bound_ber_pairs
 from codeword_oracle import expand_codeword
 
 
@@ -277,6 +282,75 @@ class TestDmin:
         assert dmin == pytest.approx(0.8944, abs=5e-4)
         assert dmin_rl == pytest.approx(1.2649, abs=5e-4)
         assert min_rank == 1
+
+    @pytest.mark.parametrize("variant", [
+        dict(variant="ofdm-im", n=4, n_active=2, m=4),
+        dict(variant="mm", n=2, m=2),
+        dict(variant="ospm", n=4, k=2, m=2, selection="alg1"),
+        dict(variant="fspm", n=3, m=4, constellation="qam"),
+        dict(variant="ofspm", n=4, m=2, selection="alg2"),
+        dict(variant="mm", n=4, m=4),
+        dict(variant="ofspm", n=4, m=4, selection="alg2"),  # J = 8192
+        dict(variant="ofspm", n=4, m=4, constellation="qam", selection="alg2"),
+    ], ids=lambda v: "-".join(str(x) for x in v.values()))
+    def test_matches_pair_oracle(self, variant):
+        X = build_scheme(**variant).codewords
+        assert codebook_dmin(X) == _dmin_pairs(X)
+
+
+def small_alphabet_books(seed, count):
+    """Random (J, n) books on six points, two of them within 1e-12 of
+    others; a third of the books repeat a row."""
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    points = np.concatenate([base, base[:2] + 3e-13 * (1 - 1j)])
+    for _ in range(count):
+        J, n = 1 << int(rng.integers(1, 7)), int(rng.integers(1, 5))
+        X = points[rng.integers(0, len(points), size=(J, n))]
+        if rng.random() < 1 / 3:
+            X[rng.integers(J)] = X[rng.integers(J)]
+        yield X
+
+
+class TestAlphabetKernels:
+    """codebook_dmin and union_bound_ber contract per-subcarrier alphabets
+    on dense tables and walk the codeword pairs on sparse ones; both paths
+    match the pair oracles."""
+
+    @pytest.mark.parametrize("weight", [0.0, math.inf], ids=["contract", "walk"])
+    def test_random_small_alphabets(self, monkeypatch, weight):
+        monkeypatch.setattr(codebook, "_DMIN_WEIGHT", weight)
+        monkeypatch.setattr(analysis, "_BOUND_WEIGHT", weight)
+        for X in small_alphabet_books(seed=7, count=200):
+            assert codebook_dmin(X) == _dmin_pairs(X)
+            for g in (0.3, 10.0, 1e4):
+                got, ref = union_bound_ber(X, g), union_bound_ber_pairs(X, g)
+                assert got.pairs == ref.pairs
+                assert abs(got.ber_bound - ref.ber_bound) <= 1e-12 * ref.ber_bound
+
+    @pytest.mark.parametrize("variant, contracts", [
+        (dict(variant="ofspm", n=4, m=2, selection="alg2"), True),  # J = 512, prod U = 8^4
+        (dict(variant="mm", n=3, m=8), True),  # J = 2048, prod U = 16 * 24^2
+        (dict(variant="ofdm-im", n=6, n_active=2, m=8), False),  # J = 512, prod U = 9^6
+        (dict(variant="ofdm-im", n=8, n_active=1, m=8), False),  # J = 64, prod U = 9^8
+    ], ids=lambda v: "-".join(str(x) for x in v.values()) if isinstance(v, dict) else str(v))
+    def test_dense_contracts_sparse_walks(self, monkeypatch, variant, contracts):
+        calls = []
+        for module, name in ((codebook, "_least_pair"), (analysis, "_bound_contraction")):
+            kernel = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, k=kernel, n=name: calls.append(n) or k(*a))
+        X = build_scheme(**variant).codewords
+        assert codebook_dmin(X) == _dmin_pairs(X)
+        got, ref = union_bound_ber(X, 10.0), union_bound_ber_pairs(X, 10.0)
+        assert abs(got.ber_bound - ref.ber_bound) <= 1e-12 * ref.ber_bound
+        assert set(calls) == ({"_least_pair", "_bound_contraction"} if contracts else set())
+
+    def test_contraction_size_cap(self):
+        X = np.arange(160).reshape(4, 40) * (1 + 1j)  # 4^40 code tuples
+        assert 4**40 > MAX_CONTRACTION_SIZE
+        assert codebook.column_alphabets(X, weight=0.0) is None
+        assert codebook_dmin(X) == _dmin_pairs(X)
 
 
 class TestRate:
