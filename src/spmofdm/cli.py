@@ -216,7 +216,7 @@ def cmd_select(cfg, args):
         graph = selection.build_hamming_graph(book.patterns)
     rows = ["algorithm,size,bound,elapsed_ms,settled,indices"]
     status = EXIT_OK
-    # the O(L^3) eigenvalue solve is its own stage; the solvers reuse it
+    # the O(L^3) factorisation for the bound is its own stage; the solvers reuse it
     t0 = time.perf_counter()
     bound = selection.clique_upper_bound(graph)
     print(f"eigenvalue bound: {bound} elapsed={(time.perf_counter() - t0) * 1e3:.3f} ms")

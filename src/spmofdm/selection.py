@@ -10,8 +10,8 @@ candidate subsets in lexicographic (rank) order, the fast greedy
 vertex-exclusion heuristic (repeatedly drop a minimum-degree vertex until
 the remainder is complete), and an exact branch-and-bound maximum-clique
 solver with a greedy-coloring bound used as a validation oracle on small
-graphs. Each solver reads the graph's cached eigenvalue
-bound before its timer starts, so elapsed_s is search time alone.
+graphs. Each solver reads the graph's cached clique bound before its
+timer starts, so elapsed_s is search time alone.
 """
 
 import itertools
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .combinatorics import floor_log2
 
@@ -41,11 +42,11 @@ __all__ = [
 TIME_BUDGET_S = 60.0
 
 # Tolerance when counting adjacency eigenvalues "not exceeding -1"; absorbs
-# symmetric-eigensolver rounding on eigenvalues that are exactly -1.
+# rounding on eigenvalues that are exactly -1.
 EIG_TOL = 1e-9
 
 # Largest vertex count an edge list may name (ofspm(6)'s graph has 4683);
-# the adjacency and its eigenvalue solve take O(L^2) memory.
+# the adjacency and its factorisation for the clique bound take O(L^2) memory.
 MAX_EDGE_LIST_ORDER = 8192
 
 
@@ -72,11 +73,26 @@ class HammingGraph:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Adjacency eigenvalues, ascending: one O(L^3) solve per graph,
+        """Adjacency eigenvalues, ascending: the oracle for clique_bound,
         cached (the adjacency is write-protected, so it cannot go stale)."""
         lam = np.linalg.eigvalsh(self.adjacency.astype(np.float64))
         lam.setflags(write=False)
         return lam
+
+    @cached_property
+    def clique_bound(self) -> int:
+        """1 + #(eigenvalues <= -1 + EIG_TOL), which by Sylvester's law is 1 plus
+        the negative inertia of A + (1 - EIG_TOL) I, read off D of one blocked
+        Bunch-Kaufman LDL^T: a 1x1 pivot (ipiv > 0) is one eigenvalue's sign,
+        and a 2x2 block (ipiv < 0 twice) has det < 0, so one negative."""
+        a = self.adjacency.astype(np.float64, order="F")
+        np.fill_diagonal(a, 1.0 - EIG_TOL)
+        lwork = int(lapack.dsytrf_lwork(self.order, lower=1)[0])  # the default is unblocked
+        ldu, ipiv, info = lapack.dsytrf(a, lower=1, lwork=lwork, overwrite_a=1)
+        if info < 0:
+            raise ValueError(f"dsytrf: illegal argument {-info}")
+        d = ldu.diagonal()  # a zero pivot (info > 0) is an eigenvalue at -1 + EIG_TOL
+        return int(((ipiv > 0) & (d <= 0)).sum() + (ipiv < 0).sum() // 2) + 1
 
 
 @dataclass(frozen=True)
@@ -109,19 +125,17 @@ def build_hamming_graph(patterns) -> HammingGraph:
         raise ValueError("patterns must all have the same length")
     if len(set(pats)) != len(pats):
         raise ValueError("duplicate patterns")
-    arr = np.array(pats)
     L = len(pats)
-    adj = np.zeros((L, L), dtype=bool)
-    for i in range(L - 1):  # upper triangle row by row, then mirrored
-        adj[i, i + 1 :] = (arr[i + 1 :] != arr[i]).sum(axis=1) >= 2
-    adj |= adj.T
-    return HammingGraph(adj)
+    diff = np.zeros((L, L), dtype=np.min_scalar_type(n))  # Hamming distances
+    for col in np.array(pats).T:
+        diff += col[:, None] != col
+    return HammingGraph(diff >= 2)
 
 
 def clique_upper_bound(graph: HammingGraph) -> int:
     """Eigenvalue bound on the clique number: one plus the number of
-    adjacency eigenvalues that do not exceed -1."""
-    return int((graph.eigenvalues <= -1.0 + EIG_TOL).sum()) + 1
+    adjacency eigenvalues that do not exceed -1 (HammingGraph.clique_bound)."""
+    return graph.clique_bound
 
 
 def is_clique(graph: HammingGraph, subset) -> bool:
@@ -178,7 +192,7 @@ def vertex_exclusion(graph: HammingGraph) -> CliqueResult:
     vertices are pairwise adjacent. miss[v] counts v's non-neighbours among
     the other remaining vertices, so the vertex to drop is the first maximum
     of miss; a dropped vertex is set to -L, which later decrements keep
-    negative. The eigenvalue bound is attached to the result for reporting
+    negative. The clique bound is attached to the result for reporting
     only."""
     bound = clique_upper_bound(graph)
     t0 = time.perf_counter()

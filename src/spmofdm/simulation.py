@@ -17,7 +17,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .codebook import Scheme
 
@@ -240,6 +239,17 @@ class RateReport:
 _DRAW_BATCH = 256
 
 
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the last axis of a finite array, bit-identical to
+    scipy.special.logsumexp: the m maxima are summed apart, as there."""
+    top = a.max(axis=-1, keepdims=True)
+    at_top = a == top
+    shifted = np.where(at_top, -np.inf, a - top)
+    s = np.exp(shifted, out=shifted).sum(axis=-1, keepdims=True)
+    m = at_top.sum(axis=-1, keepdims=True, dtype=a.dtype)
+    return (np.log1p(s / m) + np.log(m) + top)[..., 0]
+
+
 def estimate_rate(config: SimConfig, draws: int = 4096) -> RateReport:
     """Achievable rate by Monte-Carlo average of the mutual-information
     log-sum-exp term over channel and noise draws.
@@ -277,13 +287,13 @@ def estimate_rate(config: SimConfig, draws: int = 4096) -> RateReport:
             h, noise = _draw_channel(gen, B, n, n0)
             u = np.conj(h) * noise
             feat = np.stack([np.abs(h) ** 2, u.real, u.imag], axis=-1).reshape(-1, 3)
-            e = np.stack([logsumexp(-(feat @ c).reshape(B, n, T, -1) / n0, axis=-1)
+            e = np.stack([_logsumexp(-(feat @ c).reshape(B, n, T, -1) / n0)
                           for c in coefs], axis=-1)  # (B, n, T, K)
             e_pat = [e[:, t][:, :, pats[:, t]] for t in range(n)]  # n x (B, T, P)
             acc = np.zeros(B)
             for lo in range(0, J, tile):
                 g = sum(e_pat[t][:, sym[lo : lo + tile, t]] for t in range(n))
-                acc += logsumexp(g, axis=-1).sum(axis=1)  # (B, tile, P) -> (B,)
+                acc += _logsumexp(g).sum(axis=1)  # (B, tile, P) -> (B,)
             t_vals.append(acc / (J * math.log(2.0)))
         t = np.concatenate(t_vals)
         rate_val = (scheme.f - float(t.mean())) / n

@@ -78,8 +78,8 @@ def graphs():
 
 @pytest.fixture(scope="module")
 def spectra(graphs):
-    """Adjacency eigenvalues of each graph, solved once for 3a and 3b (the
-    graph caches them, so clique_upper_bound reuses the same solve)."""
+    """Adjacency eigenvalues of each graph, solved once for 3a and 3b: the
+    oracle for clique_upper_bound, which factorises instead."""
     return {name: g.eigenvalues for name, g in graphs.items()}
 
 

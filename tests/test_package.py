@@ -3,6 +3,9 @@ and every exported name has a caller outside the tests."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import spmofdm
@@ -55,3 +58,13 @@ def test_every_export_has_a_caller():
     unread = {name: [n for n in importlib.import_module(f"spmofdm.{name}").__all__
                      if n not in read] for name in MODULES}
     assert not any(unread.values()), unread
+
+
+def test_import_loads_no_scipy_special():
+    # scipy.special adds set-up time to every run; the package needs only
+    # scipy.linalg's LAPACK wrappers
+    code = ("import sys, spmofdm.cli; "
+            "print('scipy.linalg' in sys.modules, 'scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert out.stdout.split() == ["True", "False"]

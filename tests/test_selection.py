@@ -13,8 +13,10 @@ import math
 import numpy as np
 import pytest
 
+from spmofdm import selection
 from spmofdm.codebook import build_index_codebook
 from spmofdm.selection import (
+    EIG_TOL,
     CliqueResult,
     HammingGraph,
     brute_force_k_clique,
@@ -90,6 +92,13 @@ class TestGraph:
         want = [[hamming_distance(p, q) >= 2 for q in pats] for p in pats]
         assert adj.tolist() == want
 
+    def test_long_patterns(self):
+        # distances 256 and 257 do not wrap round to 0 and 1 in the counter
+        n = 257
+        g = build_hamming_graph([(0,) * n, (1,) * n, (1,) * (n - 1) + (0,)])
+        assert g.adjacency.tolist() == [[False, True, True], [True, False, False],
+                                        [True, False, False]]
+
     def test_edge_list_export(self):
         g = build_hamming_graph([(0, 0, 0), (1, 1, 0), (0, 0, 1)])
         assert export_edge_list(g) == "0 1\n1 2\n"
@@ -134,10 +143,11 @@ class TestUpperBound:
             hi = int((lam <= -1 + 1e-9).sum()) + 1
             assert lo <= published <= hi
 
-    def test_one_eigenvalue_solve_per_graph(self, monkeypatch):
+    def test_one_factorisation_per_graph(self, monkeypatch):
         calls = []
-        real = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or real(a))
+        real = selection.lapack.dsytrf
+        monkeypatch.setattr(selection.lapack, "dsytrf",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
         g = ospm_graph(4)
         for algo in ("alg1", "alg2", "exact"):
             assert solve(g, algo).bound == 10
@@ -151,6 +161,87 @@ class TestUpperBound:
         for ours, published in ((10, 9), (41, 32), (162, 129), (7, 7),
                                 (34, 33), (225, 225), (1877, 1876)):
             assert floor_log2(ours) == floor_log2(published)
+
+
+def eigenvalue_bound(graph):
+    """The bound's definition, counted on the full spectrum."""
+    return int((graph.eigenvalues <= -1.0 + EIG_TOL).sum()) + 1
+
+
+def gnp_graph(L, p, rng):
+    upper = np.triu(rng.random((L, L)) < p, k=1)
+    return HammingGraph(upper | upper.T)
+
+
+def block_graph(sizes, within):
+    """Disjoint cliques (within=True) or a complete multipartite graph
+    (within=False) on parts of the given sizes."""
+    part = np.repeat(np.arange(len(sizes)), sizes)
+    same = part[:, None] == part
+    adj = same if within else ~same
+    np.fill_diagonal(adj, False)
+    return HammingGraph(adj)
+
+
+class TestInertiaBound:
+    """clique_upper_bound reads the count from an LDL^T factorisation; the
+    eigenvalues are its oracle."""
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 0.9])
+    def test_random_graphs(self, p):
+        rng = np.random.default_rng(int(p * 10))
+        for L in (2, 3, 4, 5, 7, 12, 31, 64, 150, 333, 700):
+            for _ in range(3 if L < 100 else 1):
+                g = gnp_graph(L, p, rng)
+                assert clique_upper_bound(g) == eigenvalue_bound(g), (L, p)
+
+    # K_m has m - 1 eigenvalues exactly at -1; a complete multipartite graph
+    # has many exactly at 0 and at minus a part size
+    @pytest.mark.parametrize("sizes", [(1, 1), (2,), (5,), (1, 1, 1), (2, 3), (1, 2, 3, 4),
+                                       (4, 4, 4), (7, 1, 3, 9), (30, 20, 10)])
+    def test_disjoint_cliques(self, sizes):
+        g = block_graph(sizes, within=True)
+        assert clique_upper_bound(g) == eigenvalue_bound(g) >= max(sizes)
+
+    @pytest.mark.parametrize("sizes", [(1, 1), (1, 1, 1), (2, 3), (1, 2, 3, 4), (4, 4, 4),
+                                       (7, 1, 3, 9), (30, 20, 10)])
+    def test_complete_multipartite(self, sizes):
+        g = block_graph(sizes, within=False)
+        assert clique_upper_bound(g) == eigenvalue_bound(g) >= len(sizes)
+
+    def test_edge_list_graph(self):
+        petersen = "".join(f"{i} {(i + 1) % 5}\n{i} {i + 5}\n{i + 5} {(i + 2) % 5 + 5}\n"
+                           for i in range(5))
+        g = graph_from_edge_list(petersen)
+        assert g.order == 10 and g.degrees.tolist() == [3] * 10
+        # spectrum 3, 1 (x5), -2 (x4)
+        assert clique_upper_bound(g) == eigenvalue_bound(g) == 5
+
+    def test_hamming_graphs_of_random_labels(self):
+        rng = np.random.default_rng(1)
+        for n, q, L in ((2, 3, 6), (3, 2, 8), (3, 4, 40), (4, 3, 60), (5, 4, 300), (6, 2, 64)):
+            pats = np.unique(rng.integers(0, q, size=(L, n)), axis=0)
+            g = build_hamming_graph(pats[rng.permutation(len(pats))])
+            assert clique_upper_bound(g) == eigenvalue_bound(g), (n, q, L)
+
+    def test_two_by_two_pivots(self, monkeypatch):
+        # the star K_{1,2}: after pivoting on the centre, the two leaves'
+        # block is [[~0, -1], [-1, ~0]], which Bunch-Kaufman takes as a 2x2 pivot
+        pivots = []
+        real = selection.lapack.dsytrf
+
+        def record(*a, **kw):
+            out = real(*a, **kw)
+            pivots.append(out[1].copy())
+            return out
+
+        monkeypatch.setattr(selection.lapack, "dsytrf", record)
+        star = graph_from_edge_list("0 1\n0 2\n")
+        assert clique_upper_bound(star) == eigenvalue_bound(star) == 2
+        assert (pivots[-1] < 0).sum() == 2
+        g = gnp_graph(150, 0.5, np.random.default_rng(3))
+        assert clique_upper_bound(g) == eigenvalue_bound(g)
+        assert (pivots[-1] < 0).any()
 
 
 class TestBruteForce:

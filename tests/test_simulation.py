@@ -6,6 +6,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from spmofdm import simulation
 from spmofdm.cli import _scheme_from_config, load_config
@@ -16,6 +17,7 @@ from spmofdm.simulation import (
     _detect_batch,
     _detect_structured,
     _draw_channel,
+    _logsumexp,
     _stream,
     estimate_rate,
     simulate_ber,
@@ -248,6 +250,17 @@ class TestEnergyAccounting:
 
 
 class TestRateEstimator:
+    @pytest.mark.parametrize("shape", [(256, 4, 16, 4), (256, 3, 9, 1), (256, 2, 12, 3),
+                                       (256, 64, 16), (256, 5, 1), (7, 2)])
+    def test_logsumexp_matches_scipy(self, shape):
+        rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+        a = -np.abs(rng.standard_normal(shape)) * rng.choice([1e-3, 1.0, 50.0, 1e4], size=shape)
+        tied = np.round(a)  # many maxima tie
+        tied[..., -1] = tied.max(axis=-1)  # at least two where the axis allows
+        for x in (a, tied, a + 700.0, np.zeros(shape)):
+            assert np.array_equal(_logsumexp(x), logsumexp(x, axis=-1))
+        assert _logsumexp(a).shape == shape[:-1]
+
     def test_saturates_at_f_over_n(self):
         scheme = build_scheme("ospm", 4, k=2, m=2, selection="alg1")
         cfg = SimConfig(scheme=scheme, snr_db_grid=(40.0,), master_seed=5)
