@@ -36,7 +36,7 @@ def main():
         print(f"{name:15s} {scheme.rate_bits_per_subcarrier:4.2f}  {cells}")
 
     ofspm = schemes["ofspm(4,2)"]
-    bounds = [union_bound_ber(ofspm.codewords, 10 ** (s / 10)).ber_bound for s in GRID]
+    bounds = [union_bound_ber(ofspm, 10 ** (s / 10)).ber_bound for s in GRID]
     print(f"{'bound ofspm':15s} {'':4s}  " + "  ".join(f"{b:9.3e}" for b in bounds))
     print("\n'!' marks points that hit the block budget before the error")
     print("target; the bound is tight only in the high-SNR region.")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebook import MAX_CONTRACTION_SIZE, column_alphabets
+from .codebook import MAX_CONTRACTION_SIZE, Scheme, column_alphabets
 
 __all__ = [
     "union_bound_ber",
@@ -43,7 +43,7 @@ class BoundResult:
     pairs: int  # ordered pairs i != j the sum covers, J(J - 1)
 
 
-def union_bound_ber(codewords: np.ndarray, es_over_n0: float) -> BoundResult:
+def union_bound_ber(codewords: Scheme | np.ndarray, es_over_n0: float) -> BoundResult:
     """Union bound on BER under uncorrelated fading:
     (1 / (f 2^f)) sum_{i != j} PEP(i->j) D(i,j), where D is the Hamming
     distance between the f-bit words i and j (the codeword row index is the
@@ -58,9 +58,10 @@ def union_bound_ber(codewords: np.ndarray, es_over_n0: float) -> BoundResult:
     n tensordots per bit and term. Every term is nonnegative, and i = j
     never pairs a set bit with a clear one. Where that contraction costs
     more than the pair walk (column_alphabets), the upper triangle of
-    codeword pairs is walked row by row instead.
+    codeword pairs is walked row by row instead. codewords is a Scheme or
+    a (J, n) codeword table such as its codewords.
     """
-    X = np.asarray(codewords)
+    X = np.asarray(codewords.codewords if isinstance(codewords, Scheme) else codewords)
     J = X.shape[0]
     f = int(math.log2(J))
     if 1 << f != J:

@@ -175,7 +175,7 @@ def _rate_row(fig):
 
 def cmd_codebook(cfg, args):
     scheme = _scheme_from_config(cfg)
-    dmin, dmin_rl, min_rank = codebook.codebook_dmin(scheme.codewords)
+    dmin, dmin_rl, min_rank = codebook.codebook_dmin(scheme)
     m, usable = scheme.family.M, len(scheme.book.patterns)
     figures = _call(codebook.rate, cfg, scheme.book.variant, scheme.n, m=m,
                     usable_patterns=usable)
@@ -251,7 +251,7 @@ def cmd_ber(cfg, args):
         rows[0] += ",bound_ber"
         for i, p in enumerate(report.points, start=1):
             g = 10.0 ** (p.snr_db / 10.0)
-            b = analysis.union_bound_ber(scheme.codewords, g)
+            b = analysis.union_bound_ber(scheme, g)
             rows[i] += f",{b.ber_bound:.9g}"
     _write(_out_path(cfg, args, "ber"), cfg, rows, args.verbose)
     for p in report.points:
@@ -265,7 +265,7 @@ def cmd_bound(cfg, args):
     scheme = _scheme_from_config(cfg)
     rows = ["snr_db,bound_ber,pairs_enumerated,exact_flag"]
     for snr in _snr_grid(cfg):
-        res = analysis.union_bound_ber(scheme.codewords, 10.0 ** (snr / 10.0))
+        res = analysis.union_bound_ber(scheme, 10.0 ** (snr / 10.0))
         # the bound is exact over all J(J - 1) ordered pairs (none is
         # sampled), so exact_flag is always 1
         rows.append(f"{snr:.9g},{res.ber_bound:.9g},{res.pairs},1")

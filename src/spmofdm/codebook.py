@@ -290,8 +290,9 @@ def column_alphabets(codewords: np.ndarray, weight: float):
     return d2, np.ravel_multi_index(codes, shape), shape
 
 
-def codebook_dmin(codewords: np.ndarray) -> tuple[float, float, int]:
-    """Distance profile of a full codeword book.
+def codebook_dmin(codewords: Scheme | np.ndarray) -> tuple[float, float, int]:
+    """Distance profile of a full codeword book: a Scheme, or a (J, n)
+    codeword table such as its codewords.
 
     Returns (d_min, d_min_rank_limited, min_rank): the global minimum
     Euclidean distance over all codeword pairs, the minimum distance among
@@ -300,7 +301,7 @@ def codebook_dmin(codewords: np.ndarray) -> tuple[float, float, int]:
     Contracted over the per-subcarrier alphabets (column_alphabets) where
     that is cheaper than the pair walk, which is exact either way.
     """
-    X = np.asarray(codewords)
+    X = np.asarray(codewords.codewords if isinstance(codewords, Scheme) else codewords)
     if X.shape[0] < 2:
         raise ValueError("need at least 2 codewords")
     alphabets = column_alphabets(X, weight=_DMIN_WEIGHT * (X.shape[1] + 1))

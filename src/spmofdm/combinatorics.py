@@ -9,6 +9,7 @@ partition. Ordered partitions are arbitrary surjective labelings, K! of
 them per underlying partition into K blocks.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -100,11 +101,7 @@ def enumerate_partitions(n: int, k: int) -> Iterator[tuple[int, ...]]:
             labels[i] = lab
             yield from rec(i + 1, max(used, lab + 1))
 
-    return rec(1, 1) if n > 1 else iter([(0,)] if k == 1 else [])
-
-
-def _apply_perm(perm: tuple[int, ...], labels: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(perm[x] for x in labels)
+    return rec(1, 1)
 
 
 def enumerate_ordered_partitions(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -112,13 +109,11 @@ def enumerate_ordered_partitions(n: int, k: int) -> Iterator[tuple[int, ...]]:
     k blocks): every canonical partition under every one of the k! label
     permutations. Order is canonical-partition-major, permutations in
     lexicographic order within; k! * stirling2(n, k) vectors total."""
-    import itertools
-
     _check_nk(n, k)
     perms = list(itertools.permutations(range(k)))
     for canon in enumerate_partitions(n, k):
         for perm in perms:
-            yield _apply_perm(perm, canon)
+            yield tuple(perm[x] for x in canon)
 
 
 _LAMBERT_TOL = 1e-12  # relative Newton step at which lambert_w stops

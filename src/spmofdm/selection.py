@@ -15,6 +15,7 @@ timer starts, so elapsed_s is search time alone.
 """
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -70,14 +71,6 @@ class HammingGraph:
     @property
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1).astype(np.int64)
-
-    @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """Adjacency eigenvalues, ascending: the oracle for clique_bound,
-        cached (the adjacency is write-protected, so it cannot go stale)."""
-        lam = np.linalg.eigvalsh(self.adjacency.astype(np.float64))
-        lam.setflags(write=False)
-        return lam
 
     @cached_property
     def clique_bound(self) -> int:
@@ -235,7 +228,10 @@ def exact_max_clique(graph: HammingGraph, time_budget: float = TIME_BUDGET_S) ->
     """Exact maximum clique by branch and bound with a greedy-coloring bound
     (bitmask implementation, practical to ~100 vertices). If the time
     budget runs out the best clique found so far is returned with
-    proven_optimal=False."""
+    proven_optimal=False. A non-finite time_budget raises ValueError: a NaN
+    or infinite deadline never passes."""
+    if not math.isfinite(time_budget):
+        raise ValueError(f"time_budget must be finite, got {time_budget}")
     bound = clique_upper_bound(graph)
     t0 = time.perf_counter()
     deadline = t0 + time_budget

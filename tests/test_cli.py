@@ -159,6 +159,15 @@ class TestCodebookCommand:
         assert run("codebook", p, out) == EXIT_BUDGET
         assert not out.exists()
 
+    @pytest.mark.parametrize("budget", ["nan", "inf"])
+    def test_exact_non_finite_budget(self, tmp_path, capsys, budget):
+        p = write_cfg(tmp_path, "c.cfg",
+                      f"variant=ospm\nn=4\nk=2\nselection=exact\ntime_budget={budget}\n")
+        out = tmp_path / "o.txt"
+        assert run("codebook", p, out) == EXIT_CONFIG
+        assert not out.exists()
+        assert "time_budget must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("constellation", ["bogus", "qam"])
     def test_ofdm_im_rejects_constellation(self, tmp_path, capsys, constellation):
         p = write_cfg(tmp_path, "c.cfg", "variant=ofdm-im\nn=4\nn_active=2\nm=4\n"
@@ -207,6 +216,15 @@ class TestSelectCommand:
                       "variant=ofspm\nn=5\nalgorithms=exact\ntime_budget=0.001\n")
         assert run("select", p, tmp_path / "s.csv") == EXIT_BUDGET
         assert capsys.readouterr().out.splitlines()[1].endswith(" (budget exhausted)")
+
+    @pytest.mark.parametrize("budget", ["nan", "inf"])
+    def test_exact_non_finite_budget(self, tmp_path, capsys, budget):
+        p = write_cfg(tmp_path, "s.cfg",
+                      f"variant=ospm\nn=4\nk=2\nalgorithms=exact\ntime_budget={budget}\n")
+        out = tmp_path / "s.csv"
+        assert run("select", p, out) == EXIT_CONFIG
+        assert not out.exists()
+        assert "time_budget must be finite" in capsys.readouterr().err
 
     def test_unsettled_row_marked(self, tmp_path):
         p = write_cfg(tmp_path, "s.cfg",

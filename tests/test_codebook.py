@@ -346,6 +346,18 @@ class TestAlphabetKernels:
         assert abs(got.ber_bound - ref.ber_bound) <= 1e-12 * ref.ber_bound
         assert set(calls) == ({"_least_pair", "_bound_contraction"} if contracts else set())
 
+    @pytest.mark.parametrize("variant", [
+        dict(variant="ofdm", n=1, m=2),
+        dict(variant="mm", n=2, m=2),
+        dict(variant="ofspm", n=4, m=2, selection="alg2"),
+        dict(variant="ofdm-im", n=4, n_active=2, m=8),  # rate_mc_full/ofdm_im_4_2_8: walks
+    ], ids=lambda v: "-".join(str(x) for x in v.values()))
+    def test_scheme_or_table(self, variant):
+        scheme = build_scheme(**variant)
+        assert codebook_dmin(scheme) == codebook_dmin(scheme.codewords)
+        for g in (0.3, 10.0, 1e4):
+            assert union_bound_ber(scheme, g) == union_bound_ber(scheme.codewords, g)
+
     def test_contraction_size_cap(self):
         X = np.arange(160).reshape(4, 40) * (1 + 1j)  # 4^40 code tuples
         assert 4**40 > MAX_CONTRACTION_SIZE
