@@ -201,6 +201,7 @@ def cmd_select(cfg, args):
     algos = [a.strip() for a in cfg["algorithms"].split(",") if a.strip()]
     if not algos:
         raise ConfigError("algorithms names no solver")
+    solvers = [(algo, _call(selection.solver, cfg, algo)) for algo in algos]
     if "graph" in cfg:  # user-supplied edge list instead of a variant book
         try:
             with open(cfg["graph"], "rb") as fh:
@@ -220,8 +221,8 @@ def cmd_select(cfg, args):
     t0 = time.perf_counter()
     bound = selection.clique_upper_bound(graph)
     print(f"eigenvalue bound: {bound} elapsed={(time.perf_counter() - t0) * 1e3:.3f} ms")
-    for algo in algos:
-        res = _call(selection.solve, cfg, graph, algo)
+    for algo, solve in solvers:
+        res = solve(graph)
         if not res.settled:
             status = EXIT_BUDGET
         if res.indices and not selection.is_clique(graph, res.indices):

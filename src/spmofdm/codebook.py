@@ -432,14 +432,6 @@ def _im_family(m: int, n: int, n_active: int) -> ConstellationFamily:
     return ConstellationFamily(members=(base, np.zeros(1, dtype=complex)))
 
 
-def _take(family: ConstellationFamily, k: int) -> ConstellationFamily:
-    if k > family.K:
-        raise ValueError(f"family has {family.K} members, need {k}")
-    if k == family.K:
-        return family
-    return ConstellationFamily(members=family.members[:k])
-
-
 def build_scheme(
     variant,
     n,
@@ -459,22 +451,22 @@ def build_scheme(
 
     PSK identifiers are rotated M-PSK with max(n, labels) rotation slots
     (one slot per subcarrier, the multi-mode construction); QAM
-    identifiers are cosets of 16-QAM. A selection that runs out of its
-    budget, or an exact search that runs out of time, raises
-    BudgetExhausted.
+    identifiers are cosets of 16-QAM. The solver is checked before the
+    book is enumerated. A selection that runs out of its budget, or an
+    exact search that runs out of time, raises BudgetExhausted.
     """
     spec = _variant(variant, n, k, d, n_active)
     v = spec.name
+    solve = None if selection == "none" else _sel.solver(selection, budget, time_budget)
+    if solve is None and pad_to is not None:
+        raise ValueError("pad_to only applies together with selection")
     book = IndexCodebook(variant=v, n=n, k=spec.k, patterns=tuple(spec.patterns()))
 
-    if selection != "none":
-        graph = _sel.build_hamming_graph(book.patterns)
-        res = _sel.solve(graph, selection, budget=budget, time_budget=time_budget)
+    if solve is not None:
+        res = solve(_sel.build_hamming_graph(book.patterns))
         if not res.settled:
             raise _sel.BudgetExhausted(f"{selection} selection on {v}({n}) ran out of budget")
         book = restrict(book, res.indices, pad_to=pad_to)
-    elif pad_to is not None:
-        raise ValueError("pad_to only applies together with selection")
 
     if v == "ofdm-im":
         if constellation != "psk":
@@ -491,7 +483,7 @@ def build_scheme(
                     f"{QAM_PARENT}-QAM split {levels} times gives "
                     f"{QAM_PARENT >> levels}-point members, not m={m}"
                 )
-            family = _take(qam_family(levels), k_needed)
+            family = ConstellationFamily(members=qam_family(levels).members[:k_needed])
         else:
             raise ValueError(f"unknown constellation {constellation!r}")
 

@@ -17,8 +17,9 @@ timer starts, so elapsed_s is search time alone.
 import itertools
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.linalg import lapack
@@ -36,7 +37,7 @@ __all__ = [
     "brute_force_k_clique",
     "vertex_exclusion",
     "exact_max_clique",
-    "solve",
+    "solver",
 ]
 
 # Default wall-clock budget of the exact solver, in seconds.
@@ -46,8 +47,9 @@ TIME_BUDGET_S = 60.0
 # rounding on eigenvalues that are exactly -1.
 EIG_TOL = 1e-9
 
-# Largest vertex count an edge list may name (ofspm(6)'s graph has 4683);
-# the adjacency and its factorisation for the clique bound take O(L^2) memory.
+# Largest vertex count of a graph, from patterns or an edge list (ofspm(6)'s
+# graph has 4683); the adjacency and its factorisation for the clique bound
+# take O(L^2) memory.
 MAX_EDGE_LIST_ORDER = 8192
 
 
@@ -111,8 +113,8 @@ class CliqueResult:
 def build_hamming_graph(patterns) -> HammingGraph:
     """Adjacency under the distance >= 2 rule; vertex order = input order."""
     pats = tuple(tuple(p) for p in patterns)
-    if len(pats) < 2:
-        raise ValueError("need at least 2 patterns")
+    if not 2 <= len(pats) <= MAX_EDGE_LIST_ORDER:
+        raise ValueError(f"need 2 to {MAX_EDGE_LIST_ORDER} patterns, got {len(pats)}")
     n = len(pats[0])
     if any(len(p) != n for p in pats):
         raise ValueError("patterns must all have the same length")
@@ -224,14 +226,19 @@ def _color_sort(P: int, adj_masks):
     return colored, colors
 
 
+def _finite(time_budget: float) -> float:
+    """A NaN or infinite deadline never passes, so it raises ValueError."""
+    if not math.isfinite(time_budget):
+        raise ValueError(f"time_budget must be finite, got {time_budget}")
+    return time_budget
+
+
 def exact_max_clique(graph: HammingGraph, time_budget: float = TIME_BUDGET_S) -> CliqueResult:
     """Exact maximum clique by branch and bound with a greedy-coloring bound
     (bitmask implementation, practical to ~100 vertices). If the time
     budget runs out the best clique found so far is returned with
-    proven_optimal=False. A non-finite time_budget raises ValueError: a NaN
-    or infinite deadline never passes."""
-    if not math.isfinite(time_budget):
-        raise ValueError(f"time_budget must be finite, got {time_budget}")
+    proven_optimal=False. A non-finite time_budget raises ValueError."""
+    _finite(time_budget)
     bound = clique_upper_bound(graph)
     t0 = time.perf_counter()
     deadline = t0 + time_budget
@@ -240,45 +247,39 @@ def exact_max_clique(graph: HammingGraph, time_budget: float = TIME_BUDGET_S) ->
                  for row in graph.adjacency]
 
     best: list[int] = []
-    current: list[int] = []
+    current: list[int] = []  # the vertex that opened each node below the root
     timed_out = False
     # One frame per open node: [candidate set P, vertices in color order,
-    # their colors, i]. verts[:i] are still to be tried, last first;
-    # verts[i] is the vertex on current while a child frame is open.
+    # their colors]. The last vertex is tried next; a tried vertex leaves
+    # both lists and P.
     stack = []
 
-    def enter(P: int):
+    def open_node(P: int):
         nonlocal timed_out
         if timed_out or time.perf_counter() > deadline:
             timed_out = True
             return False
-        verts, colors = _color_sort(P, adj_masks)
-        stack.append([P, verts, colors, len(verts)])
+        stack.append([P, *_color_sort(P, adj_masks)])
         return True
 
-    def leave(frame):  # drop the tried vertex from the frame's candidates
-        current.pop()
-        frame[0] &= ~(1 << frame[1][frame[3]])
-
-    enter((1 << L) - 1)
+    open_node((1 << L) - 1)
     while stack:
         frame = stack[-1]
-        P, verts, colors, i = frame
-        if i == 0 or len(current) + colors[i - 1] <= len(best):
+        P, verts, colors = frame
+        if not verts or len(current) + colors[-1] <= len(best):
             stack.pop()
-            if stack:
-                leave(stack[-1])
+            if current:
+                current.pop()
             continue
-        v = verts[i - 1]
-        frame[3] = i - 1
-        current.append(v)
+        v = verts.pop()
+        colors.pop()
+        frame[0] = P & ~(1 << v)
         newP = P & adj_masks[v]
         if newP:
-            if enter(newP):
-                continue
-        elif len(current) > len(best):
-            best = current.copy()
-        leave(frame)
+            if open_node(newP):
+                current.append(v)
+        elif len(current) >= len(best):
+            best = [*current, v]
 
     return CliqueResult(
         indices=tuple(sorted(best)), algorithm="exact", bound=bound,
@@ -286,16 +287,18 @@ def exact_max_clique(graph: HammingGraph, time_budget: float = TIME_BUDGET_S) ->
     )
 
 
-def solve(graph: HammingGraph, algorithm: str, budget: int | None = None,
-          time_budget: float = TIME_BUDGET_S) -> CliqueResult:
-    """Run one solver by name: alg1 (brute force, capped by budget), alg2
-    (vertex exclusion) or exact (capped by time_budget seconds)."""
+def solver(algorithm: str, budget: int | None = None,
+           time_budget: float = TIME_BUDGET_S) -> Callable[[HammingGraph], CliqueResult]:
+    """The solver named algorithm, as a function of the graph: alg1 (brute
+    force, capped by budget), alg2 (vertex exclusion) or exact (capped by
+    time_budget seconds). An unknown name, or a non-finite time_budget for
+    exact, raises ValueError here, before any graph is built."""
     if algorithm == "alg1":
-        return brute_force_k_clique(graph, budget=budget)
+        return partial(brute_force_k_clique, budget=budget)
     if algorithm == "alg2":
-        return vertex_exclusion(graph)
+        return vertex_exclusion
     if algorithm == "exact":
-        return exact_max_clique(graph, time_budget=time_budget)
+        return partial(exact_max_clique, time_budget=_finite(time_budget))
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 

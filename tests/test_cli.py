@@ -86,7 +86,7 @@ class TestForwarding:
         (codebook, "build_scheme", "rate-mc"),
         (simulation, "SimConfig", "rate-mc"),
         (simulation, "estimate_rate", "rate-mc"),
-        (selection, "solve", "select"),
+        (selection, "solver", "select"),
         (codebook, "build_index_codebook", "select"),
         (codebook, "rate", "codebook"),
     ])
@@ -276,6 +276,28 @@ class TestSelectCommand:
                            if l.startswith("# config_hash=")])
         assert len(hashes[0]) == len(hashes[1]) == 1
         assert hashes[0] != hashes[1]
+
+
+class TestRefusedBeforeOutput:
+    @pytest.mark.parametrize("command,text,message", [
+        ("codebook", "variant=fspm\nn=9\nm=1\nconstellation=qam\n", "partition depth 4"),
+        ("select", "variant=ofspm\nn=5\nalgorithms=alg2,bogus\n", "unknown algorithm"),
+        ("select", "variant=ospm\nn=4\nk=2\nalgorithms=alg2,exact\ntime_budget=nan\n",
+         "time_budget must be finite"),
+        ("codebook", "variant=ofspm\nn=5\nselection=bogus\n", "unknown algorithm"),
+        # 40,320 patterns: L x L arrays of 1.6 GB and more
+        ("select", "variant=mm\nn=8\nalgorithms=alg2\n", "8192 patterns"),
+    ], ids=["qam_depth_4", "bogus_after_alg2", "nan_after_alg2", "codebook_bogus",
+            "graph_order"])
+    def test_exit_2_and_nothing_written(self, tmp_path, capsys, command, text, message):
+        # every solver is checked before the bound line or any solver row
+        p = write_cfg(tmp_path, "c.cfg", text)
+        out = tmp_path / "o.csv"
+        assert run(command, p, out) == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == [tmp_path / "c.cfg"]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
 
 
 class TestBerCommand:

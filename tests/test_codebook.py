@@ -148,6 +148,22 @@ class TestVariantRules:
         with pytest.raises(BudgetExhausted):
             build_scheme("ofspm", 4, selection="exact", time_budget=0.0)
 
+    def test_qam_depth_4_refused(self):
+        # 9 labels need a depth-4 split of 16-QAM: one-point cosets
+        with pytest.raises(ValueError, match="partition depth 4"):
+            build_scheme("fspm", 9, m=1, constellation="qam")
+
+    def test_solver_checked_before_enumeration(self, monkeypatch):
+        def enumerate_ordered_partitions(n, k):
+            raise AssertionError("patterns enumerated before the solver was checked")
+
+        monkeypatch.setattr(codebook.comb, "enumerate_ordered_partitions",
+                            enumerate_ordered_partitions)
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            build_scheme("ofspm", 6, selection="bogus")
+        with pytest.raises(ValueError, match="time_budget must be finite"):
+            build_scheme("ofspm", 6, selection="exact", time_budget=math.nan)
+
     def test_scheme_names_carry_defaults(self):
         assert build_scheme("dm", 4).name == "dm(4,2,2)"
         assert build_scheme("spm", 4, k="auto").name == "spm(4,2,2)"

@@ -1,5 +1,6 @@
 """Constellation family geometry: energies, disjointness, distances."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -155,6 +156,35 @@ class TestQam:
     def test_invalid(self):
         with pytest.raises(ValueError):
             qam_family(5)
+        # unit energy would put the 16 one-point cosets on 12 points
+        with pytest.raises(ValueError):
+            qam_family(4)
+
+    # sha256 of each member's bytes, recorded from the subset-list builder
+    # with its unit-energy rescale that the per-point split loop replaced
+    DIGESTS = {
+        0: ["699fba4b7ac8e9cbd1ab323653e03e52682d97dfeb6d69d1a88a1c5731d29978"],
+        1: ["c61a7425ba2b73697090fcafa7c2f6ee44815760d95efc1e7dd7a9166f84eb6b",
+            "97b687ea97753d19f91710bfddfd45a0b5636aeefb4b9d015e316aac53a0cda9"],
+        2: ["a64d0c4c6c2826da9e04b22583f3ada819b67a9d976a2440db8622aee607c804",
+            "2522bfd332feea30d5d7ff25b3926ea4e20126432d02f4e78f5f8fde9b697f62",
+            "48b89e5d0a446028593f7a299e62378c5670e64ee273fdb59c34d636653fb1f8",
+            "cd69f0d12b532806646603f245a58906292eb2b727325f55bdae71a89dfae97e"],
+        3: ["047da3fc0a9d435e401d689d269966ebdf56716f1f17bcd344787e5eeb5dcef0",
+            "1d709e0fd3cd5cf1ecd2c27733e58178262da2779f65f20bc502e1e4806b0b63",
+            "d5f15c21b26128c5879573029e07a804503cac4b56ab16ab314d9556dffb957c",
+            "730e5448d75f758770cb43951f9fdbacdd231f56507fd6dde71d5872145fdf57",
+            "d26d79d56f2ed56a82ad58a390927f33ed3de73d8d623571299db2301c650d3d",
+            "b2e1a68a58f946d20215ab5b08d763ff82f027582cab30d97dd1a0238b672bd0",
+            "b380fe8a7a3e21ffa33ddde39052b7c2c98c4872b8121e2361d890e13a9f762d",
+            "840e9ad2b9d964445464877e4b59d5f931069f3bd7f3b1f62a89147ae3eca206"],
+    }
+
+    @pytest.mark.parametrize("levels", sorted(DIGESTS))
+    def test_members_bit_identical(self, levels):
+        # pins the points and their bit-label order, odd depths included
+        got = [hashlib.sha256(m.tobytes()).hexdigest() for m in qam_family(levels).members]
+        assert got == self.DIGESTS[levels]
 
 
 class TestDistances:
@@ -165,6 +195,7 @@ class TestDistances:
             psk_family(2, 4, 4),
             qam_family(1),
             qam_family(2),
+            qam_family(3),
         ]
         for fam in fams:
             assert min_cross_distance(fam) > 1e-9

@@ -24,7 +24,7 @@ from spmofdm.selection import (
     exact_max_clique,
     graph_from_edge_list,
     is_clique,
-    solve,
+    solver,
     vertex_exclusion,
 )
 from spmofdm.combinatorics import floor_log2
@@ -82,6 +82,12 @@ class TestGraph:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             build_hamming_graph([(0, 1), (0, 1, 1)])
+
+    def test_order_limit(self):
+        # the edge lists' limit: 2^14 patterns would need L x L arrays of 268 MB
+        with pytest.raises(ValueError, match="8192 patterns"):
+            build_hamming_graph(itertools.product((0, 1), repeat=14))
+        assert build_hamming_graph(itertools.product((0, 1), repeat=13)).order == 8192
 
     @pytest.mark.parametrize("variant,n,kwargs", [
         ("ospm", 6, dict(k=2)), ("ofspm", 4, {}), ("mm", 4, {}),
@@ -150,7 +156,7 @@ class TestUpperBound:
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
         g = ospm_graph(4)
         for algo in ("alg1", "alg2", "exact"):
-            assert solve(g, algo).bound == 10
+            assert solver(algo)(g).bound == 10
         assert clique_upper_bound(g) == 10
         assert len(calls) == 1
 
