@@ -27,6 +27,9 @@ EXIT_CONFIG = 2
 EXIT_NONCONVERGED = 3
 EXIT_BUDGET = 4
 
+# Most points an SNR grid may have; each is a full BER, bound or rate run.
+MAX_SNR_POINTS = 10_000
+
 
 class ConfigError(Exception):
     pass
@@ -142,6 +145,8 @@ def _snr_grid(cfg):
     if not all(map(math.isfinite, (start, stop, step, span))):
         raise ConfigError("snr_start, snr_stop, snr_step and their point count must be finite")
     count = int(math.floor(span + 1e-9)) + 1
+    if count > MAX_SNR_POINTS:
+        raise ConfigError(f"the SNR grid has {count} points, above the limit {MAX_SNR_POINTS}")
     return tuple(start + i * step for i in range(count))
 
 

@@ -48,6 +48,10 @@ __all__ = [
 
 VARIANTS = ("spm", "ospm", "fspm", "ofspm", "mm", "dm", "gdm", "ofdm-im", "ofdm")
 
+# Most patterns a book may enumerate, read off the exact count first: admits
+# ofspm(8) (545,835) and mm(9), refuses ofspm(9) (7,087,261) and mm(10).
+MAX_PATTERNS = 1 << 20
+
 _ALIASES = {
     "mm-ofdm-im": "mm",
     "dm-ofdm-im": "dm",
@@ -96,6 +100,13 @@ class _Variant:
     patterns: Callable[[], Iterable[tuple[int, ...]]]  # lazy, documented order
     active: int  # subcarriers carrying a data symbol
     params: tuple[int, ...] = ()  # the scheme name's entries between n and m
+
+    def enumerate(self) -> tuple[tuple[int, ...], ...]:
+        """The patterns, refused from the count alone above MAX_PATTERNS."""
+        if self.count > MAX_PATTERNS:
+            raise ValueError(f"{self.name} has {self.count} patterns, above the "
+                             f"enumeration limit {MAX_PATTERNS}")
+        return tuple(self.patterns())
 
 
 def _variant(variant, n, k=None, d=None, n_active=None) -> _Variant:
@@ -151,7 +162,7 @@ def build_index_codebook(variant, n, k=None, d=None, n_active=None) -> IndexCode
     """Construct the full (unselected) pattern list for a variant, in the
     deterministic enumeration order documented per variant."""
     spec = _variant(variant, n, k, d, n_active)
-    return IndexCodebook(variant=spec.name, n=n, k=spec.k, patterns=tuple(spec.patterns()))
+    return IndexCodebook(variant=spec.name, n=n, k=spec.k, patterns=spec.enumerate())
 
 
 @dataclass(frozen=True)
@@ -451,16 +462,21 @@ def build_scheme(
 
     PSK identifiers are rotated M-PSK with max(n, labels) rotation slots
     (one slot per subcarrier, the multi-mode construction); QAM
-    identifiers are cosets of 16-QAM. The solver is checked before the
-    book is enumerated. A selection that runs out of its budget, or an
-    exact search that runs out of time, raises BudgetExhausted.
+    identifiers are cosets of 16-QAM. The solver and the constellation are
+    checked before the book is enumerated. A selection that runs out of its
+    budget, or an exact search that runs out of time, raises
+    BudgetExhausted.
     """
     spec = _variant(variant, n, k, d, n_active)
     v = spec.name
     solve = None if selection == "none" else _sel.solver(selection, budget, time_budget)
     if solve is None and pad_to is not None:
         raise ValueError("pad_to only applies together with selection")
-    book = IndexCodebook(variant=v, n=n, k=spec.k, patterns=tuple(spec.patterns()))
+    if constellation not in ("psk", "qam"):
+        raise ValueError(f"unknown constellation {constellation!r}")
+    if v == "ofdm-im" and constellation != "psk":
+        raise ValueError(f"ofdm-im uses the psk data constellation, not {constellation!r}")
+    book = IndexCodebook(variant=v, n=n, k=spec.k, patterns=spec.enumerate())
 
     if solve is not None:
         res = solve(_sel.build_hamming_graph(book.patterns))
@@ -469,14 +485,12 @@ def build_scheme(
         book = restrict(book, res.indices, pad_to=pad_to)
 
     if v == "ofdm-im":
-        if constellation != "psk":
-            raise ValueError(f"ofdm-im uses the psk data constellation, not {constellation!r}")
         family = _im_family(m, n, spec.active)
     else:
         k_needed = max(max(p) for p in book.patterns) + 1
         if constellation == "psk":
             family = psk_family(m, k_needed, max(n, k_needed))
-        elif constellation == "qam":
+        else:
             levels = max(1, math.ceil(math.log2(k_needed))) if k_needed > 1 else 0
             if QAM_PARENT >> levels != m:
                 raise ValueError(
@@ -484,8 +498,6 @@ def build_scheme(
                     f"{QAM_PARENT >> levels}-point members, not m={m}"
                 )
             family = ConstellationFamily(members=qam_family(levels).members[:k_needed])
-        else:
-            raise ValueError(f"unknown constellation {constellation!r}")
 
     if name is None:
         name = f"{v}({','.join(str(x) for x in (n, *spec.params, m))})"

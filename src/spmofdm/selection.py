@@ -18,7 +18,7 @@ import itertools
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
@@ -62,6 +62,10 @@ class HammingGraph:
     """A graph on index patterns (or on the vertices of an edge list)."""
 
     adjacency: np.ndarray  # bool, symmetric, zero diagonal
+    # (2, E) int32: each unordered non-adjacent pair once, as
+    # build_hamming_graph finds them (the distance-1 pairs); None derives
+    # the non-neighbour lists from the adjacency
+    non_edges: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.adjacency.setflags(write=False)
@@ -70,9 +74,25 @@ class HammingGraph:
     def order(self) -> int:
         return self.adjacency.shape[0]
 
-    @property
-    def degrees(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1).astype(np.int64)
+    @cached_property
+    def non_neighbours(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each vertex's non-neighbours, self left out, in CSR form (ptr,
+        idx): vertex v's are idx[ptr[v]:ptr[v + 1]] (int32, ascending).
+        Sorted out of non_edges when the graph has them; otherwise read
+        off the adjacency one row at a time, so that the lists (up to L^2
+        int32) are the only large allocation."""
+        L = self.order
+        ptr = np.zeros(L + 1, dtype=np.int64)
+        if self.non_edges is not None:
+            src, dst = np.concatenate((self.non_edges, self.non_edges[::-1]), axis=1)
+            np.cumsum(np.bincount(src, minlength=L), out=ptr[1:])
+            return ptr, dst[np.argsort(src.astype(np.int64) * L + dst)]
+        np.cumsum((L - 1) - self.adjacency.sum(axis=1), out=ptr[1:])
+        idx = np.empty(ptr[-1], dtype=np.int32)
+        for v, row in enumerate(self.adjacency):
+            miss = np.flatnonzero(~row)
+            idx[ptr[v]:ptr[v + 1]] = miss[miss != v]
+        return ptr, idx
 
     @cached_property
     def clique_bound(self) -> int:
@@ -111,7 +131,14 @@ class CliqueResult:
 
 
 def build_hamming_graph(patterns) -> HammingGraph:
-    """Adjacency under the distance >= 2 rule; vertex order = input order."""
+    """Adjacency under the distance >= 2 rule; vertex order = input order.
+
+    Two distinct patterns are non-adjacent iff they differ in exactly one
+    position t, that is iff they agree once t is deleted. So for each t the
+    patterns are sorted with t as the least significant key, and every pair
+    inside a run that agrees off t is a non-edge; the adjacency is all-True
+    minus those pairs and the diagonal. The pairs are kept on the graph as
+    its non-neighbour lists."""
     pats = tuple(tuple(p) for p in patterns)
     if not 2 <= len(pats) <= MAX_EDGE_LIST_ORDER:
         raise ValueError(f"need 2 to {MAX_EDGE_LIST_ORDER} patterns, got {len(pats)}")
@@ -120,11 +147,24 @@ def build_hamming_graph(patterns) -> HammingGraph:
         raise ValueError("patterns must all have the same length")
     if len(set(pats)) != len(pats):
         raise ValueError("duplicate patterns")
+    P = np.array(pats)
     L = len(pats)
-    diff = np.zeros((L, L), dtype=np.min_scalar_type(n))  # Hamming distances
-    for col in np.array(pats).T:
-        diff += col[:, None] != col
-    return HammingGraph(diff >= 2)
+    pairs = []
+    for t in range(n):
+        keys = P[:, [t, *range(t), *range(t + 1, n)]]  # lexsort: last key first
+        order = np.lexsort(keys.T).astype(np.int32)
+        rest = keys[order, 1:]
+        run = np.concatenate(([0], np.cumsum((rest[1:] != rest[:-1]).any(axis=1))))
+        for k in range(1, L):  # runs are contiguous: pair each row with the k-th after it
+            same = run[k:] == run[:-k]
+            if not same.any():
+                break
+            pairs.append(np.stack((order[:-k][same], order[k:][same])))
+    non_edges = np.concatenate(pairs, axis=1) if pairs else np.empty((2, 0), np.int32)
+    adj = np.ones((L, L), dtype=bool)
+    adj[non_edges[0], non_edges[1]] = adj[non_edges[1], non_edges[0]] = False
+    np.fill_diagonal(adj, False)
+    return HammingGraph(adj, non_edges)
 
 
 def clique_upper_bound(graph: HammingGraph) -> int:
@@ -186,17 +226,20 @@ def vertex_exclusion(graph: HammingGraph) -> CliqueResult:
     """Drop a minimum-degree vertex (ties: lowest index) until the remaining
     vertices are pairwise adjacent. miss[v] counts v's non-neighbours among
     the other remaining vertices, so the vertex to drop is the first maximum
-    of miss; a dropped vertex is set to -L, which later decrements keep
-    negative. The clique bound is attached to the result for reporting
-    only."""
-    bound = clique_upper_bound(graph)
+    of miss; dropping v decrements miss over v's non-neighbour list
+    (HammingGraph.non_neighbours) and sets miss[v] = -L, which later
+    decrements keep negative. The clique bound is attached to the result
+    for reporting only."""
+    bound = clique_upper_bound(graph)  # first, so its L x L float matrix is freed
     t0 = time.perf_counter()
-    adj = graph.adjacency
+    ptr, idx = graph.non_neighbours
     L = graph.order
-    miss = (L - 1) - graph.degrees
-    while miss.max() > 0:
+    miss = np.diff(ptr)
+    while True:
         v = int(miss.argmax())  # argmax returns the first maximum
-        miss[~adj[v]] -= 1
+        if miss[v] <= 0:
+            break
+        miss[idx[ptr[v]:ptr[v + 1]]] -= 1
         miss[v] = -L
     indices = tuple(int(i) for i in np.nonzero(miss >= 0)[0])
     return CliqueResult(

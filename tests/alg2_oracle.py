@@ -1,8 +1,8 @@
 """Reference alg2 (vertex exclusion): degrees over the remaining vertices.
 
-Test-side oracle for selection.vertex_exclusion's missing-neighbour count.
-Same rule: drop a minimum-degree vertex (ties: lowest index) until the
-remaining vertices are pairwise adjacent."""
+Test-side oracle for selection.vertex_exclusion's missing-neighbour count
+over the non-neighbour lists. Same rule: drop a minimum-degree vertex
+(ties: lowest index) until the remaining vertices are pairwise adjacent."""
 
 import numpy as np
 
@@ -15,7 +15,7 @@ def vertex_exclusion_degrees(graph: HammingGraph) -> tuple[int, ...]:
     adj = graph.adjacency
     L = graph.order
     active = np.ones(L, dtype=bool)
-    deg = graph.degrees
+    deg = adj.sum(axis=1)
     remaining = L
     while True:
         idx = np.nonzero(active)[0]

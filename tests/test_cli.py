@@ -1,5 +1,6 @@
 """End-to-end CLI runs over temp config files."""
 
+import dataclasses
 import glob
 import inspect
 import os
@@ -13,7 +14,10 @@ from spmofdm.cli import (
     EXIT_CONFIG,
     EXIT_NONCONVERGED,
     EXIT_OK,
+    MAX_SNR_POINTS,
+    ConfigError,
     _scheme_from_config,
+    _snr_grid,
     load_config,
     main,
 )
@@ -176,6 +180,18 @@ class TestCodebookCommand:
         assert run("codebook", p, out) == EXIT_CONFIG
         assert not out.exists()
         assert constellation in capsys.readouterr().err
+
+    def test_constellation_checked_before_selection(self, tmp_path, capsys, monkeypatch):
+        def fail(patterns):
+            raise AssertionError("graph built before the constellation was checked")
+
+        monkeypatch.setattr(selection, "build_hamming_graph", fail)
+        p = write_cfg(tmp_path, "c.cfg",
+                      "variant=ofspm\nn=6\nconstellation=bogus\nselection=alg2\n")
+        out = tmp_path / "o.txt"
+        assert run("codebook", p, out) == EXIT_CONFIG
+        assert not out.exists()
+        assert "unknown constellation 'bogus'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [
         "variant=fspm\nn=4\nm=4\n", "variant=ofspm\nn=3\n", "variant=mm\nn=3\n",
@@ -426,6 +442,45 @@ class TestBoundCommand:
         assert run("bound", p, out) == EXIT_CONFIG
         assert not out.exists()
         assert "config error: " in capsys.readouterr().err
+
+
+class TestSizeGuards:
+    """Counts known before anything is built: refused with exit 2 and the
+    limit named, before the grid or the book exists."""
+
+    @pytest.mark.parametrize("command", ["ber", "bound", "rate-mc"])
+    def test_snr_grid_points(self, tmp_path, capsys, command):
+        p = write_cfg(tmp_path, "g.cfg", "variant=ofdm\nn=1\nm=2\n"
+                      "snr_start=0\nsnr_stop=1e8\nsnr_step=1\n")
+        out = tmp_path / "o.csv"
+        assert run(command, p, out) == EXIT_CONFIG
+        assert not out.exists()
+        assert "100000001 points, above the limit 10000" in capsys.readouterr().err
+
+    def test_snr_grid_at_limit(self):
+        grid = dict(snr_start=-10.0, snr_stop=9989.0, snr_step=1.0)
+        assert len(_snr_grid(grid)) == MAX_SNR_POINTS == 10_000
+        with pytest.raises(ConfigError, match="10001 points, above the limit 10000"):
+            _snr_grid({**grid, "snr_stop": 9990.0})
+
+    @pytest.mark.parametrize("command,text,count", [
+        ("codebook", "variant=ofspm\nn=9\n", 7_087_261),
+        ("select", "variant=ofspm\nn=9\nalgorithms=alg2\n", 7_087_261),
+        ("codebook", "variant=mm\nn=11\n", 39_916_800),
+        ("select", "variant=mm\nn=11\nalgorithms=alg2\n", 39_916_800),
+        ("bound", "variant=mm\nn=11\nsnr_start=0\nsnr_stop=0\nsnr_step=1\n",
+         39_916_800),
+    ], ids=["codebook_ofspm9", "select_ofspm9", "codebook_mm11", "select_mm11", "bound_mm11"])
+    def test_pattern_count(self, tmp_path, capsys, monkeypatch, command, text, count):
+        real = codebook._variant
+        monkeypatch.setattr(codebook, "_variant", lambda *a, **kw: dataclasses.replace(
+            real(*a, **kw), patterns=lambda: pytest.fail("patterns enumerated")))
+        p = write_cfg(tmp_path, "c.cfg", text)
+        out = tmp_path / "o.csv"
+        assert run(command, p, out) == EXIT_CONFIG
+        assert not out.exists()
+        assert (f"{count} patterns, above the enumeration limit {1 << 20}"
+                in capsys.readouterr().err)
 
 
 class TestRateCommands:

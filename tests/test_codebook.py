@@ -1,5 +1,6 @@
 """Codebook construction, bit mapping, expansion, distances, rates."""
 
+import dataclasses
 import itertools
 import math
 
@@ -163,6 +164,40 @@ class TestVariantRules:
             build_scheme("ofspm", 6, selection="bogus")
         with pytest.raises(ValueError, match="time_budget must be finite"):
             build_scheme("ofspm", 6, selection="exact", time_budget=math.nan)
+
+    @pytest.mark.parametrize("variant,kwargs,message", [
+        ("ofspm", dict(constellation="bogus"), "unknown constellation 'bogus'"),
+        ("ofdm-im", dict(n_active=2, constellation="qam"), "psk data constellation"),
+    ], ids=["bogus", "ofdm_im_qam"])
+    def test_constellation_checked_before_enumeration(self, monkeypatch, variant, kwargs,
+                                                      message):
+        def fail(*args, **kwargs):
+            raise AssertionError("book enumerated or graph built before the "
+                                 "constellation was checked")
+
+        monkeypatch.setattr(codebook.comb, "enumerate_ordered_partitions", fail)
+        monkeypatch.setattr(codebook, "_im_patterns", fail)
+        monkeypatch.setattr(codebook._sel, "build_hamming_graph", fail)
+        with pytest.raises(ValueError, match=message):
+            build_scheme(variant, 6, selection="alg2", **kwargs)
+
+    @pytest.mark.parametrize("variant,n,count", [
+        ("ofspm", 9, 7_087_261), ("mm", 11, 39_916_800), ("gdm", 21, 1 << 21),
+    ])
+    def test_enumeration_limit(self, monkeypatch, variant, n, count):
+        # refused from the count alone: nothing is enumerated
+        real = codebook._variant
+        monkeypatch.setattr(codebook, "_variant", lambda *a, **kw: dataclasses.replace(
+            real(*a, **kw), patterns=lambda: pytest.fail("patterns enumerated")))
+        message = f"{count} patterns, above the enumeration limit {codebook.MAX_PATTERNS}"
+        for build in (build_index_codebook, build_scheme):
+            with pytest.raises(ValueError, match=message):
+                build(variant, n)
+        assert rate(variant, n).count == count  # the rate table needs no book
+
+    def test_enumeration_limit_admits_ofspm_8(self):
+        assert codebook.MAX_PATTERNS == 1 << 20
+        assert rate("ofspm", 8).count <= codebook.MAX_PATTERNS < rate("ofspm", 9).count
 
     def test_scheme_names_carry_defaults(self):
         assert build_scheme("dm", 4).name == "dm(4,2,2)"

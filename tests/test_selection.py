@@ -7,13 +7,16 @@ the regression values below are this implementation's own, and every
 published value is checked to lie in the [strict, inclusive] bracket.
 """
 
+import glob
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
 
 from spmofdm import selection
+from spmofdm.cli import _call, load_config
 from spmofdm.codebook import build_index_codebook
 from spmofdm.selection import (
     CliqueResult,
@@ -31,6 +34,7 @@ from spmofdm.combinatorics import floor_log2
 
 from alg2_oracle import vertex_exclusion_degrees
 from combination_oracle import unrank_combination
+from graph_oracle import hamming_adjacency
 from spectrum_oracle import adjacency_eigenvalues, eigenvalue_bound
 
 TWO_GROUP_PATTERNS = [
@@ -73,7 +77,8 @@ class TestGraph:
         g = ospm_graph(4)
         assert (g.adjacency == g.adjacency.T).all()
         assert not g.adjacency.diagonal().any()
-        assert (g.degrees == g.adjacency.sum(axis=1)).all()
+        ptr = g.non_neighbours[0]
+        assert (np.diff(ptr) == (g.order - 1) - g.adjacency.sum(axis=1)).all()
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
@@ -125,6 +130,87 @@ class TestGraph:
             graph_from_edge_list("0 1\n0 100000000\n")
 
 
+SELECT_CONFIGS = sorted(glob.glob(os.path.join(
+    os.path.dirname(__file__), os.pardir, "configs", "select", "*.cfg")))
+
+
+def random_patterns(n, q, L, seed):
+    """Up to L distinct random patterns over labels 0..q-1, rows shuffled."""
+    rng = np.random.default_rng(seed)
+    pats = np.unique(rng.integers(0, q, size=(L, n)), axis=0)
+    return pats[rng.permutation(len(pats))]
+
+
+ORACLE_BOOKS = {
+    **{os.path.basename(path)[:-4]: (lambda path=path: _call(
+        build_index_codebook, load_config(path)).patterns) for path in SELECT_CONFIGS},
+    "spm6_3": lambda: build_index_codebook("spm", 6, k=3).patterns,
+    "mm5": lambda: build_index_codebook("mm", 5).patterns,
+    "ofdm_im6_2": lambda: build_index_codebook("ofdm-im", 6, n_active=2).patterns,
+    "binary13": lambda: list(itertools.product((0, 1), repeat=13)),  # 8192 vertices
+    # few labels: large runs off each position; many: runs of one or two
+    **{f"random_n{n}_q{q}": (lambda n=n, q=q, L=L: random_patterns(n, q, L, seed=n * q))
+       for n, q, L in ((2, 300, 3000), (3, 300, 2000), (3, 12, 1200), (4, 5, 600),
+                       (6, 3, 500), (9, 2, 400), (5, 300, 300))},
+    "n1": lambda: [(7,), (0,), (299,), (3,), (1,)],  # one run: no edges at all
+    "n1_pair": lambda: [(1,), (0,)],
+}
+
+
+class TestDistanceOneBuild:
+    """build_hamming_graph groups the patterns that agree off one position;
+    the column-by-column distance sum is its reference."""
+
+    def test_all_select_configs_covered(self):
+        assert len(SELECT_CONFIGS) == 7
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_BOOKS))
+    def test_matches_column_sum(self, name):
+        pats = ORACLE_BOOKS[name]()
+        g = build_hamming_graph(pats)
+        assert (g.adjacency == hamming_adjacency(pats)).all()
+        # the lists from the build equal the ones read off the adjacency
+        ptr, idx = g.non_neighbours
+        want_ptr, want_idx = HammingGraph(g.adjacency).non_neighbours
+        assert idx.dtype == want_idx.dtype == np.int32
+        assert (ptr == want_ptr).all() and (idx == want_idx).all()
+
+
+def gnp_graph(L, p, rng):
+    upper = np.triu(rng.random((L, L)) < p, k=1)
+    return HammingGraph(upper | upper.T)
+
+
+class TestListsAlg2:
+    """vertex_exclusion over the non-neighbour lists against the degree
+    oracle, on pattern graphs, edge-list graphs and random graphs."""
+
+    @pytest.fixture(autouse=True)
+    def no_bound(self, monkeypatch):
+        # the bound is only reported, and on binary13 its O(L^3)
+        # factorisation would dwarf both searches
+        monkeypatch.setattr(selection, "clique_upper_bound", lambda graph: 0)
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_BOOKS))
+    def test_pattern_graphs(self, name):
+        g = build_hamming_graph(ORACLE_BOOKS[name]())
+        assert vertex_exclusion(g).indices == vertex_exclusion_degrees(g)
+
+    @pytest.mark.parametrize("name", ["ospm_n4", "ofspm_n4", "spm6_3", "random_n3_q12"])
+    def test_edge_list_graphs(self, name):
+        g = build_hamming_graph(ORACLE_BOOKS[name]())
+        h = graph_from_edge_list(export_edge_list(g))
+        assert h.non_edges is None
+        assert vertex_exclusion(h).indices == vertex_exclusion_degrees(h)
+
+    @pytest.mark.parametrize("p", [0.02, 0.3, 0.7, 0.98])
+    def test_random_graphs(self, p):
+        rng = np.random.default_rng(int(p * 100))
+        for L in (2, 3, 5, 17, 64, 300, 1000):
+            g = gnp_graph(L, p, rng)
+            assert vertex_exclusion(g).indices == vertex_exclusion_degrees(g), (L, p)
+
+
 class TestUpperBound:
     def test_complete_graph(self):
         # pairwise-far patterns form K_m; spectrum has -1 with multiplicity m-1
@@ -168,11 +254,6 @@ class TestUpperBound:
             assert floor_log2(ours) == floor_log2(published)
 
 
-def gnp_graph(L, p, rng):
-    upper = np.triu(rng.random((L, L)) < p, k=1)
-    return HammingGraph(upper | upper.T)
-
-
 def block_graph(sizes, within):
     """Disjoint cliques (within=True) or a complete multipartite graph
     (within=False) on parts of the given sizes."""
@@ -213,7 +294,7 @@ class TestInertiaBound:
         petersen = "".join(f"{i} {(i + 1) % 5}\n{i} {i + 5}\n{i + 5} {(i + 2) % 5 + 5}\n"
                            for i in range(5))
         g = graph_from_edge_list(petersen)
-        assert g.order == 10 and g.degrees.tolist() == [3] * 10
+        assert g.order == 10 and g.adjacency.sum(axis=1).tolist() == [3] * 10
         # spectrum 3, 1 (x5), -2 (x4)
         assert clique_upper_bound(g) == eigenvalue_bound(g) == 5
 
