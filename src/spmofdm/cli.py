@@ -29,6 +29,8 @@ EXIT_BUDGET = 4
 
 # Most points an SNR grid may have; each is a full BER, bound or rate run.
 MAX_SNR_POINTS = 10_000
+# Largest |snr_db|: 10^(snr_db/10) and N0 = 10^(-snr_db/10) stay finite.
+MAX_SNR_DB = 3000.0
 
 
 class ConfigError(Exception):
@@ -147,7 +149,11 @@ def _snr_grid(cfg):
     count = int(math.floor(span + 1e-9)) + 1
     if count > MAX_SNR_POINTS:
         raise ConfigError(f"the SNR grid has {count} points, above the limit {MAX_SNR_POINTS}")
-    return tuple(start + i * step for i in range(count))
+    grid = tuple(start + i * step for i in range(count))
+    for snr in (grid[0], grid[-1]):  # the grid is increasing
+        if abs(snr) > MAX_SNR_DB:
+            raise ConfigError(f"SNR point {snr:g} dB is outside the limit of +-{MAX_SNR_DB:g} dB")
+    return grid
 
 
 def _out_path(cfg, args, suffix):

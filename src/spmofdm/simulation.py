@@ -70,8 +70,7 @@ class SimConfig:
 def _detect_batch(y, h, codewords):
     """ML decision for a batch: argmin_j ||y - c_j o h||^2, ties to the
     lowest index. The |y|^2 term is constant per block and dropped."""
-    J = codewords.shape[0]
-    B = y.shape[0]
+    J, B = len(codewords), len(y)
     cc = np.abs(codewords) ** 2  # (J, n)
     out = np.empty(B, dtype=np.int64)
     rows = max(1, (1 << 21) // J)
@@ -168,9 +167,7 @@ def _ber_batch(scheme, snr_index, batch_index, n0, seed):
     comparisons between them are paired (common random numbers).
     """
     gen = _stream(seed, _TAG_BER, snr_index, batch_index)
-    n = scheme.n
-    f, f2 = scheme.f, scheme.f2
-    B = BATCH_BLOCKS
+    n, f, f2, B = scheme.n, scheme.f, scheme.f2, BATCH_BLOCKS
     h, noise = _draw_channel(gen, B, n, n0)
     bits = gen.integers(0, 1 << f, size=B, dtype=np.uint64)
     y = scheme.codewords[bits] * h + noise
@@ -237,17 +234,19 @@ class RateReport:
 
 
 _DRAW_BATCH = 256
+_WORD_BUFFER = 1 << 17  # float64 elements of estimate_rate's word buffer: 1 MiB, cache-sized
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(a))) over the last axis of a finite array, bit-identical to
-    scipy.special.logsumexp: the m maxima are summed apart, as there."""
-    top = a.max(axis=-1, keepdims=True)
-    at_top = a == top
-    shifted = np.where(at_top, -np.inf, a - top)
-    s = np.exp(shifted, out=shifted).sum(axis=-1, keepdims=True)
-    m = at_top.sum(axis=-1, keepdims=True, dtype=a.dtype)
-    return (np.log1p(s / m) + np.log(m) + top)[..., 0]
+def _logsumexp0(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a))) over the first axis of a finite array, overwriting a;
+    the m maxima of a column are summed apart, as scipy.special.logsumexp does."""
+    top = a.max(axis=0)
+    a -= top
+    at_top = a == 0  # the maxima; m = 1 in every column unless two tie somewhere
+    m = at_top.sum(axis=0, dtype=a.dtype) if np.count_nonzero(at_top) > top.size else 1.0
+    np.exp(a, out=a)
+    a -= at_top  # their exp(0) = 1 is counted in m, not in the sum
+    return np.log1p(a.sum(axis=0) / m) + np.log(m) + top
 
 
 def estimate_rate(config: SimConfig, draws: int = 4096) -> RateReport:
@@ -258,10 +257,14 @@ def estimate_rate(config: SimConfig, draws: int = 4096) -> RateReport:
     d(i,j) = (||n||^2 - ||h o (x_i - x_j) + n||^2) / N0; the rate is
     (f - mean over draws and i) / n. A word is a pattern plus one point per
     subcarrier, so the sum over the words j of pattern q factorises per
-    subcarrier: e[b, t, x, k] is the log-sum-exp of d_t over the points of
+    subcarrier: e[t, k, x, b] is the log-sum-exp of d_t over the points of
     member k, and word i's term is the log-sum-exp over the mapped patterns
-    q of sum_t e[b, t, x_it, q_t], at J*P*n per draw. The number of draws is
-    rounded up to whole batches.
+    q of sum_t e[t, q_t, x_it, b], at J*P*n per draw b. Each reduced axis
+    comes first (point terms (|member|, T, n, B), word tiles (P, tile, B)),
+    so a log-sum-exp is elementwise work across rows. The tile and one
+    subcarrier's gather share one buffer of 2^17 float64 (2 * P * B when
+    P > 256), reused across tiles, batches and SNR points. Draws are
+    rounded up to whole batches of B = 256.
     """
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
@@ -269,15 +272,13 @@ def estimate_rate(config: SimConfig, draws: int = 4096) -> RateReport:
     members, pats, sym = scheme.family.members, scheme.patterns, scheme.symbols
     x = np.concatenate(members)  # the T points that sym indexes
     (J, n), T, P = sym.shape, len(x), len(pats)
-    B = _DRAW_BATCH
-    n_batches = math.ceil(draws / B)
-    tile = max(1, (1 << 22) // (B * P))  # words per (B, tile, P) block
-    # -N0 d_t(x, s) = |h|^2 |x - s|^2 + 2 Re(conj(x - s) conj(h) n) is
-    # [|h|^2, Re(conj(h) n), Im(conj(h) n)] @ coef, one (3, T * |member|)
+    B, n_batches = _DRAW_BATCH, math.ceil(draws / _DRAW_BATCH)
+    tile = max(1, min(J, _WORD_BUFFER // (2 * P * B)))  # divides J: both are 2^x
+    g, gather = np.empty((2, P, tile, B))  # the tile and one subcarrier's gather
+    # -N0 d_t(x, s) = |h|^2 |x - s|^2 + 2 Re(conj(x - s) conj(h) n) = coef @ feat, one
     # coef per member: its distinct points, not their repeats in Scheme.points
-    diffs = [x[:, None] - s[None, :] for s in members]
-    coefs = [np.stack([np.abs(d) ** 2, 2.0 * d.real, 2.0 * d.imag]).reshape(3, -1)
-             for d in diffs]
+    coefs = [np.stack([np.abs(d) ** 2, 2.0 * d.real, 2.0 * d.imag], axis=-1).reshape(-1, 3)
+             for d in (x[None, :] - s[:, None] for s in members)]
     points = []
     for si, snr_db in enumerate(config.snr_db_grid):
         n0 = snr_db_to_n0(snr_db)
@@ -285,15 +286,17 @@ def estimate_rate(config: SimConfig, draws: int = 4096) -> RateReport:
         for bi in range(n_batches):
             gen = _stream(config.master_seed, _TAG_RATE, si, bi)
             h, noise = _draw_channel(gen, B, n, n0)
-            u = np.conj(h) * noise
-            feat = np.stack([np.abs(h) ** 2, u.real, u.imag], axis=-1).reshape(-1, 3)
-            e = np.stack([_logsumexp(-(feat @ c).reshape(B, n, T, -1) / n0)
-                          for c in coefs], axis=-1)  # (B, n, T, K)
-            e_pat = [e[:, t][:, :, pats[:, t]] for t in range(n)]  # n x (B, T, P)
+            u = (np.conj(h) * noise).T
+            feat = np.stack([np.abs(h.T) ** 2, u.real, u.imag]).reshape(3, -1) / -n0
+            e = np.stack([_logsumexp0((c @ feat).reshape(-1, T, n, B)) for c in coefs],
+                         axis=2).transpose(1, 2, 0, 3)  # (T, n, K, B) -> (n, K, T, B)
+            e_pat = [e[t][pats[:, t]] for t in range(n)]  # n x (P, T, B)
             acc = np.zeros(B)
-            for lo in range(0, J, tile):
-                g = sum(e_pat[t][:, sym[lo : lo + tile, t]] for t in range(n))
-                acc += _logsumexp(g).sum(axis=1)  # (B, tile, P) -> (B,)
+            for idx in sym.reshape(-1, tile, n):
+                np.take(e_pat[0], idx[:, 0], axis=1, out=g, mode="clip")  # clip: out unbuffered
+                for t in range(1, n):
+                    g += np.take(e_pat[t], idx[:, t], axis=1, out=gather, mode="clip")
+                acc += _logsumexp0(g).sum(axis=0)  # (P, tile, B) -> (B,)
             t_vals.append(acc / (J * math.log(2.0)))
         t = np.concatenate(t_vals)
         rate_val = (scheme.f - float(t.mean())) / n

@@ -3,7 +3,9 @@
 import dataclasses
 import glob
 import inspect
+import math
 import os
+import warnings
 
 import pytest
 
@@ -458,10 +460,37 @@ class TestSizeGuards:
         assert "100000001 points, above the limit 10000" in capsys.readouterr().err
 
     def test_snr_grid_at_limit(self):
-        grid = dict(snr_start=-10.0, snr_stop=9989.0, snr_step=1.0)
+        grid = dict(snr_start=-3000.0, snr_stop=1999.5, snr_step=0.5)
         assert len(_snr_grid(grid)) == MAX_SNR_POINTS == 10_000
         with pytest.raises(ConfigError, match="10001 points, above the limit 10000"):
-            _snr_grid({**grid, "snr_stop": 9990.0})
+            _snr_grid({**grid, "snr_stop": 2000.0})
+
+    @pytest.mark.parametrize("command", ["ber", "bound", "rate-mc"])
+    @pytest.mark.parametrize("snr", [-4000, 4000])
+    def test_snr_beyond_range(self, tmp_path, capsys, command, snr):
+        # 10^(4000/10) overflows a float: refused before any point runs
+        p = write_cfg(tmp_path, "r.cfg", "variant=ospm\nn=4\nk=2\nm=2\nselection=alg1\n"
+                      f"snr_start={min(snr, 0)}\nsnr_stop={max(snr, 0)}\nsnr_step={abs(snr)}\n")
+        out = tmp_path / "o.csv"
+        assert run(command, p, out) == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert f"SNR point {snr} dB is outside the limit of +-3000 dB" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["ber", "bound", "rate-mc"])
+    def test_snr_at_range_ends(self, tmp_path, command):
+        p = write_cfg(tmp_path, "r.cfg", "variant=ospm\nn=4\nk=2\nm=2\nselection=alg1\n"
+                      "snr_start=-3000\nsnr_stop=3000\nsnr_step=6000\n"
+                      "max_blocks=4096\nmin_errors=1\ndraws=256\n")
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning fails the run
+            # no error at +3000 dB within one batch: not converged
+            assert run(command, p, out) in (EXIT_OK, EXIT_NONCONVERGED)
+        rows = [l.split(",") for l in out.read_text().splitlines()[4:]]
+        assert [r[0] for r in rows] == ["-3000", "3000"]
+        assert all(math.isfinite(float(v)) for r in rows for v in r[:4])
 
     @pytest.mark.parametrize("command,text,count", [
         ("codebook", "variant=ofspm\nn=9\n", 7_087_261),
@@ -484,6 +513,28 @@ class TestSizeGuards:
 
 
 class TestRateCommands:
+    # rate-mc rows printed before the rate estimator's pattern-major rewrite;
+    # 30 dB is still below saturation (f/n = 1.75 and 1.5), where stderr is
+    # rounding noise whose digits follow the summation order
+    @pytest.mark.parametrize("scheme,rows", [
+        ("variant=ospm\nn=4\nk=2\nm=2\nselection=alg1\n", [
+            "0,0.701223252,0.0137003269,512",
+            "10,1.52170875,0.0111167232,512",
+            "20,1.73378854,0.00266885953,512",
+            "30,1.74932751,0.000596722719,512"]),
+        ("variant=ofdm-im\nn=4\nn_active=2\nm=4\n", [
+            "0,0.756612516,0.0149023492,512",
+            "10,1.40449459,0.00720786878,512",
+            "20,1.49100195,0.00195458751,512",
+            "30,1.49958393,0.000353415547,512"]),
+    ], ids=["ospm-4-2-2", "ofdm-im-4-2-4"])
+    def test_rate_mc_printed_rows(self, tmp_path, scheme, rows):
+        p = write_cfg(tmp_path, "r.cfg", scheme + "snr_start=0\nsnr_stop=30\nsnr_step=10\n"
+                      "draws=512\nseed=1905\n")
+        out = tmp_path / "r.csv"
+        assert run("rate-mc", p, out) == EXIT_OK
+        assert out.read_text().splitlines()[3:] == ["snr_db,rate,stderr,draws"] + rows
+
     def test_rate_table_sweep(self, tmp_path):
         p = write_cfg(
             tmp_path, "r.cfg",

@@ -17,7 +17,7 @@ from spmofdm.simulation import (
     _detect_batch,
     _detect_structured,
     _draw_channel,
-    _logsumexp,
+    _logsumexp0,
     _stream,
     estimate_rate,
     simulate_ber,
@@ -250,16 +250,17 @@ class TestEnergyAccounting:
 
 
 class TestRateEstimator:
-    @pytest.mark.parametrize("shape", [(256, 4, 16, 4), (256, 3, 9, 1), (256, 2, 12, 3),
-                                       (256, 64, 16), (256, 5, 1), (7, 2)])
-    def test_logsumexp_matches_scipy(self, shape):
-        rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+    @pytest.mark.parametrize("shape", [(4, 16, 4, 256), (1, 9, 3, 256), (3, 12, 2, 256),
+                                       (16, 64, 256), (1, 5, 256), (2, 7)])
+    def test_logsumexp0_matches_scipy(self, shape):
+        rng = np.random.default_rng(len(shape) * 100 + shape[0])
         a = -np.abs(rng.standard_normal(shape)) * rng.choice([1e-3, 1.0, 50.0, 1e4], size=shape)
         tied = np.round(a)  # many maxima tie
-        tied[..., -1] = tied.max(axis=-1)  # at least two where the axis allows
+        tied[-1] = tied.max(axis=0)  # at least two where the axis allows
         for x in (a, tied, a + 700.0, np.zeros(shape)):
-            assert np.array_equal(_logsumexp(x), logsumexp(x, axis=-1))
-        assert _logsumexp(a).shape == shape[:-1]
+            got = _logsumexp0(x.copy())
+            assert got.shape == shape[1:]
+            np.testing.assert_allclose(got, logsumexp(x, axis=0), rtol=1e-14, atol=0)
 
     def test_saturates_at_f_over_n(self):
         scheme = build_scheme("ospm", 4, k=2, m=2, selection="alg1")
@@ -296,7 +297,7 @@ class TestRateEstimator:
         dict(variant="mm", n=2, m=2),
         dict(variant="ofdm", n=1, m=2),
         dict(variant="fspm", n=3, m=4, constellation="qam"),  # three 4-point cosets
-        dict(variant="ofspm", n=4, m=2),  # J = 1024, P = 64: four word tiles
+        dict(variant="ofspm", n=4, m=2),  # J = 1024, P = 64: 256 word tiles of 4
     ], ids=lambda v: "-".join(str(x) for x in v.values()))
     def test_matches_pair_oracle(self, variant):
         scheme = build_scheme(**variant)
