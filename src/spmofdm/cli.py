@@ -170,8 +170,11 @@ def _write(path, cfg, body_lines, verbose):
         f"# config_hash={cfg['_hash']}",
         f"# seed={cfg['seed']}",
     ]
-    with open(path, "w") as fh:
-        fh.write("\n".join(header + list(body_lines)) + "\n")
+    try:
+        with open(path, "w") as fh:
+            fh.write("\n".join(header + list(body_lines)) + "\n")
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e.strerror}") from None
     if verbose:
         print(f"wrote {path}", file=sys.stderr)
 
@@ -228,7 +231,7 @@ def cmd_select(cfg, args):
         graph = selection.build_hamming_graph(book.patterns)
     rows = ["algorithm,size,bound,elapsed_ms,settled,indices"]
     status = EXIT_OK
-    # the O(L^3) factorisation for the bound is its own stage; the solvers reuse it
+    # the O(L^3) factorisation for the bound is its own stage
     t0 = time.perf_counter()
     bound = selection.clique_upper_bound(graph)
     print(f"eigenvalue bound: {bound} elapsed={(time.perf_counter() - t0) * 1e3:.3f} ms")

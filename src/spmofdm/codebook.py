@@ -51,6 +51,10 @@ VARIANTS = ("spm", "ospm", "fspm", "ofspm", "mm", "dm", "gdm", "ofdm-im", "ofdm"
 # Most patterns a book may enumerate, read off the exact count first: admits
 # ofspm(8) (545,835) and mm(9), refuses ofspm(9) (7,087,261) and mm(10).
 MAX_PATTERNS = 1 << 20
+# Most entries (2^f rows times n) of a scheme's symbol table, and so of its
+# codeword table: 128 MiB of indices and 256 MiB of points. Admits
+# unselected ofspm(6,2) (2^18 x 6), refuses ofspm(7,2) (2^22 x 7).
+MAX_TABLE_SIZE = 1 << 24
 
 _ALIASES = {
     "mm-ofdm-im": "mm",
@@ -232,7 +236,11 @@ class Scheme:
     @functools.cached_property
     def symbols(self) -> np.ndarray:
         """(2^f, n) index of word w's point on each subcarrier into the
-        members laid end to end, np.concatenate(family.members)."""
+        members laid end to end, np.concatenate(family.members); refused
+        from its size alone above MAX_TABLE_SIZE entries."""
+        if (1 << self.f) * self.n > MAX_TABLE_SIZE:
+            raise ValueError(f"{self.name} needs a 2^{self.f} x {self.n} codeword table, "
+                             f"above the limit {MAX_TABLE_SIZE} entries")
         starts = np.cumsum([0, *map(len, self.family.members[:-1])])
         r = np.arange(1 << self.f2)[None, :, None]
         sym = (r >> self.offsets[:, None]) & ((1 << self.widths[:, None]) - 1)

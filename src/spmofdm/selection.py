@@ -10,8 +10,7 @@ candidate subsets in lexicographic (rank) order, the fast greedy
 vertex-exclusion heuristic (repeatedly drop a minimum-degree vertex until
 the remainder is complete), and an exact branch-and-bound maximum-clique
 solver with a greedy-coloring bound used as a validation oracle on small
-graphs. Each solver reads the graph's cached clique bound before its
-timer starts, so elapsed_s is search time alone.
+graphs.
 """
 
 import itertools
@@ -22,7 +21,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .combinatorics import floor_log2
 
@@ -100,6 +98,7 @@ class HammingGraph:
         the negative inertia of A + (1 - EIG_TOL) I, read off D of one blocked
         Bunch-Kaufman LDL^T: a 1x1 pivot (ipiv > 0) is one eigenvalue's sign,
         and a 2x2 block (ipiv < 0 twice) has det < 0, so one negative."""
+        from scipy.linalg import lapack  # the package's only SciPy use
         a = self.adjacency.astype(np.float64, order="F")
         np.fill_diagonal(a, 1.0 - EIG_TOL)
         lwork = int(lapack.dsytrf_lwork(self.order, lower=1)[0])  # the default is unblocked
@@ -114,10 +113,14 @@ class HammingGraph:
 class CliqueResult:
     indices: tuple[int, ...]
     algorithm: str
-    bound: int
+    graph: HammingGraph = field(repr=False, compare=False)
     elapsed_s: float
     conclusive: bool = True  # False: budget ran out before an answer
     proven_optimal: bool | None = None  # exact solver only
+
+    @property
+    def bound(self) -> int:
+        return self.graph.clique_bound
 
     @property
     def size(self) -> int:
@@ -198,25 +201,24 @@ def brute_force_k_clique(graph: HammingGraph, budget: int | None = None) -> Cliq
     all levels; hitting it yields an inconclusive result, which is
     distinct from a proven absence.
     """
-    bound = clique_upper_bound(graph)
+    exp0 = floor_log2(clique_upper_bound(graph))
     t0 = time.perf_counter()
     L = graph.order
     adj = graph.adjacency
     examined = 0
-    exp0 = floor_log2(bound)
     for kappa in range(exp0 + 1):
         k = 1 << (exp0 - kappa)  # k <= bound <= L
         need = k * (k - 1)
         for subset in itertools.combinations(range(L), k):
             if budget is not None and examined >= budget:
                 return CliqueResult(
-                    indices=(), algorithm="alg1", bound=bound,
+                    indices=(), algorithm="alg1", graph=graph,
                     elapsed_s=time.perf_counter() - t0, conclusive=False,
                 )
             examined += 1
             if int(adj[np.ix_(subset, subset)].sum()) == need:
                 return CliqueResult(
-                    indices=subset, algorithm="alg1", bound=bound,
+                    indices=subset, algorithm="alg1", graph=graph,
                     elapsed_s=time.perf_counter() - t0,
                 )
     raise AssertionError("unreachable: a single vertex is always a clique")
@@ -228,9 +230,7 @@ def vertex_exclusion(graph: HammingGraph) -> CliqueResult:
     the other remaining vertices, so the vertex to drop is the first maximum
     of miss; dropping v decrements miss over v's non-neighbour list
     (HammingGraph.non_neighbours) and sets miss[v] = -L, which later
-    decrements keep negative. The clique bound is attached to the result
-    for reporting only."""
-    bound = clique_upper_bound(graph)  # first, so its L x L float matrix is freed
+    decrements keep negative."""
     t0 = time.perf_counter()
     ptr, idx = graph.non_neighbours
     L = graph.order
@@ -243,7 +243,7 @@ def vertex_exclusion(graph: HammingGraph) -> CliqueResult:
         miss[v] = -L
     indices = tuple(int(i) for i in np.nonzero(miss >= 0)[0])
     return CliqueResult(
-        indices=indices, algorithm="alg2", bound=bound,
+        indices=indices, algorithm="alg2", graph=graph,
         elapsed_s=time.perf_counter() - t0,
     )
 
@@ -282,7 +282,6 @@ def exact_max_clique(graph: HammingGraph, time_budget: float = TIME_BUDGET_S) ->
     budget runs out the best clique found so far is returned with
     proven_optimal=False. A non-finite time_budget raises ValueError."""
     _finite(time_budget)
-    bound = clique_upper_bound(graph)
     t0 = time.perf_counter()
     deadline = t0 + time_budget
     L = graph.order
@@ -325,7 +324,7 @@ def exact_max_clique(graph: HammingGraph, time_budget: float = TIME_BUDGET_S) ->
             best = [*current, v]
 
     return CliqueResult(
-        indices=tuple(sorted(best)), algorithm="exact", bound=bound,
+        indices=tuple(sorted(best)), algorithm="exact", graph=graph,
         elapsed_s=time.perf_counter() - t0, proven_optimal=not timed_out,
     )
 

@@ -446,6 +446,28 @@ class TestBoundCommand:
         assert "config error: " in capsys.readouterr().err
 
 
+class TestUnwritableOutput:
+    """An output path that cannot be opened for writing is a config error
+    that names the path, with nothing written."""
+
+    @pytest.mark.parametrize("command", ["rate", "codebook"])
+    @pytest.mark.parametrize("target", ["missing_dir", "directory"])
+    def test_exit_2(self, tmp_path, capsys, command, target):
+        p = write_cfg(tmp_path, "c.cfg", "variant=ospm\nn=4\nk=2\nm=2\n")
+        out = tmp_path / "absent" / "o.csv" if target == "missing_dir" else tmp_path
+        assert run(command, p, out) == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == [tmp_path / "c.cfg"]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"config error: cannot write {out}: " in captured.err
+
+    def test_output_key(self, tmp_path, capsys):
+        p = write_cfg(tmp_path, "b.cfg", "variant=ospm\nn=4\nk=2\nm=2\n"
+                      f"snr_start=0\nsnr_stop=0\nsnr_step=1\noutput={tmp_path}\n")
+        assert main(["bound", "--config", p]) == EXIT_CONFIG
+        assert f"cannot write {tmp_path}: " in capsys.readouterr().err
+
+
 class TestSizeGuards:
     """Counts known before anything is built: refused with exit 2 and the
     limit named, before the grid or the book exists."""
@@ -510,6 +532,18 @@ class TestSizeGuards:
         assert not out.exists()
         assert (f"{count} patterns, above the enumeration limit {1 << 20}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["bound", "codebook", "rate-mc", "ber"])
+    def test_codeword_table_size(self, tmp_path, capsys, command):
+        # ofdm(40,2) passes every count guard, but its 2^40-row symbol
+        # table would take 8 TiB
+        p = write_cfg(tmp_path, "t.cfg", "variant=ofdm\nn=40\nm=2\n"
+                      "snr_start=0\nsnr_stop=0\nsnr_step=1\n")
+        out = tmp_path / "o.csv"
+        assert run(command, p, out) == EXIT_CONFIG
+        assert not out.exists()
+        assert (f"2^40 x 40 codeword table, above the limit {codebook.MAX_TABLE_SIZE} "
+                "entries" in capsys.readouterr().err)
 
 
 class TestRateCommands:

@@ -14,10 +14,10 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
-from spmofdm import selection
 from spmofdm.cli import _call, load_config
-from spmofdm.codebook import build_index_codebook
+from spmofdm.codebook import build_index_codebook, build_scheme
 from spmofdm.selection import (
     CliqueResult,
     HammingGraph,
@@ -185,12 +185,6 @@ class TestListsAlg2:
     """vertex_exclusion over the non-neighbour lists against the degree
     oracle, on pattern graphs, edge-list graphs and random graphs."""
 
-    @pytest.fixture(autouse=True)
-    def no_bound(self, monkeypatch):
-        # the bound is only reported, and on binary13 its O(L^3)
-        # factorisation would dwarf both searches
-        monkeypatch.setattr(selection, "clique_upper_bound", lambda graph: 0)
-
     @pytest.mark.parametrize("name", sorted(ORACLE_BOOKS))
     def test_pattern_graphs(self, name):
         g = build_hamming_graph(ORACLE_BOOKS[name]())
@@ -237,8 +231,8 @@ class TestUpperBound:
 
     def test_one_factorisation_per_graph(self, monkeypatch):
         calls = []
-        real = selection.lapack.dsytrf
-        monkeypatch.setattr(selection.lapack, "dsytrf",
+        real = scipy.linalg.lapack.dsytrf
+        monkeypatch.setattr(scipy.linalg.lapack, "dsytrf",
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
         g = ospm_graph(4)
         for algo in ("alg1", "alg2", "exact"):
@@ -252,6 +246,33 @@ class TestUpperBound:
         for ours, published in ((10, 9), (41, 32), (162, 129), (7, 7),
                                 (34, 33), (225, 225), (1877, 1876)):
             assert floor_log2(ours) == floor_log2(published)
+
+
+class TestBoundOnDemand:
+    """alg1 is the only solver that factorises; the other results read the
+    graph's clique bound when asked for it."""
+
+    @pytest.fixture
+    def no_dsytrf(self, monkeypatch):
+        def refuse(*a, **kw):
+            raise AssertionError("dsytrf called")
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", refuse)
+        return monkeypatch
+
+    def test_alg2_and_exact_defer_the_factorisation(self, no_dsytrf):
+        g = ospm_graph(4)
+        results = [vertex_exclusion(g), exact_max_clique(g)]
+        with pytest.raises(AssertionError, match="dsytrf called"):
+            results[0].bound
+        with pytest.raises(AssertionError, match="dsytrf called"):
+            brute_force_k_clique(g)
+        no_dsytrf.undo()
+        assert [res.bound for res in results] == [10, 10]
+
+    def test_alg2_selection_builds_without_the_factorisation(self, no_dsytrf):
+        scheme = build_scheme("ofspm", 6, m=2, selection="alg2")
+        assert len(scheme.book.patterns) == 1292 and scheme.f1 == 10
 
 
 def block_graph(sizes, within):
@@ -309,14 +330,14 @@ class TestInertiaBound:
         # the star K_{1,2}: after pivoting on the centre, the two leaves'
         # block is [[~0, -1], [-1, ~0]], which Bunch-Kaufman takes as a 2x2 pivot
         pivots = []
-        real = selection.lapack.dsytrf
+        real = scipy.linalg.lapack.dsytrf
 
         def record(*a, **kw):
             out = real(*a, **kw)
             pivots.append(out[1].copy())
             return out
 
-        monkeypatch.setattr(selection.lapack, "dsytrf", record)
+        monkeypatch.setattr(scipy.linalg.lapack, "dsytrf", record)
         star = graph_from_edge_list("0 1\n0 2\n")
         assert clique_upper_bound(star) == eigenvalue_bound(star) == 2
         assert (pivots[-1] < 0).sum() == 2
@@ -438,7 +459,8 @@ class TestSettled:
         (True, None, True), (True, True, True), (False, None, False), (True, False, False),
     ])
     def test_verdict(self, conclusive, proven, settled):
-        res = CliqueResult((), "x", 1, 0.0, conclusive=conclusive, proven_optimal=proven)
+        res = CliqueResult((), "x", ospm_graph(4), 0.0, conclusive=conclusive,
+                           proven_optimal=proven)
         assert res.settled is settled
 
 
@@ -487,8 +509,6 @@ class TestInvariants:
             assert (bf.size == k0) == (exact.size >= k0)
 
     def test_selected_codebooks_have_min_rank_two(self):
-        from spmofdm.codebook import build_scheme, codebook_dmin
-
         scheme = build_scheme("ospm", 4, k=2, m=2, selection="alg2")
         # restrict to index-distinct pairs: compare pattern words only
         pats = np.array(scheme.book.patterns)
