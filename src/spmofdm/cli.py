@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 config error, 3 Monte-Carlo non-convergence,
 """
 
 import argparse
+import errno
 import hashlib
 import inspect
 import math
@@ -164,6 +165,21 @@ def _out_path(cfg, args, suffix):
     return f"spmofdm_{suffix}.csv"
 
 
+def _check_writable(path):
+    """Raise the config error that opening path for writing would raise,
+    without creating or truncating anything."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ConfigError(f"cannot write {path}: {os.strerror(code)}")
+
+
 def _write(path, cfg, body_lines, verbose):
     header = [
         f"# spmofdm v{__version__}",
@@ -194,9 +210,12 @@ def cmd_codebook(cfg, args):
     figures = _call(codebook.rate, cfg, scheme.book.variant, scheme.n, m=m,
                     usable_patterns=usable)
     out = _out_path(cfg, args, "codebook")
-    export = codebook.export_codebook(scheme.book, m=m)
-    _write(out, cfg, export.rstrip("\n").splitlines(), args.verbose)
-    _write(out + ".rates.csv", cfg, [_RATE_HEADER, _rate_row(figures)], args.verbose)
+    files = [(out, codebook.export_codebook(scheme.book, m=m).rstrip("\n").splitlines()),
+             (out + ".rates.csv", [_RATE_HEADER, _rate_row(figures)])]
+    for path, _ in files:  # both or neither
+        _check_writable(path)
+    for path, lines in files:
+        _write(path, cfg, lines, args.verbose)
     print(
         f"{scheme.name}: patterns={usable} f1={scheme.f1} f2={scheme.f2} "
         f"rate={scheme.rate_bits_per_subcarrier:.9g} d_min={dmin:.6g} "

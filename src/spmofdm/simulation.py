@@ -13,6 +13,7 @@ Block counts are therefore always multiples of BATCH_BLOCKS.
 """
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -67,20 +68,43 @@ class SimConfig:
             raise ValueError(f"seed must be in [0, 2^128), got {self.master_seed}")
 
 
-def _detect_batch(y, h, codewords):
+class _Workspace(threading.local):
+    """One thread's scratch arrays, reused batch after batch: ws(name, shape,
+    dtype) views the first prod(shape) elements of the flat buffer kept under
+    name, which grows when a shape needs more. Batch temporaries of 256 KB and
+    up would otherwise be fresh mmaps, and page faults, every batch."""
+
+    def __init__(self):
+        self.bufs = {}
+
+    def __call__(self, name, shape, dtype=np.float64):
+        size = math.prod(shape)
+        buf = self.bufs.get(name)
+        if buf is None or buf.size < size or buf.dtype != dtype:
+            buf = self.bufs[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+def _detect_batch(y, h, codewords, ws=None):
     """ML decision for a batch: argmin_j ||y - c_j o h||^2, ties to the
     lowest index. The |y|^2 term is constant per block and dropped."""
-    J, B = len(codewords), len(y)
+    ws = _Workspace() if ws is None else ws
+    (J, n), B = codewords.shape, len(y)
     cc = np.abs(codewords) ** 2  # (J, n)
     out = np.empty(B, dtype=np.int64)
     rows = max(1, (1 << 21) // J)
     for lo in range(0, B, rows):
-        hi = min(B, lo + rows)
-        w = np.conj(y[lo:hi]) * h[lo:hi]  # (b, n)
-        cross = (w @ codewords.T).real  # (b, J)
-        metric = (np.abs(h[lo:hi]) ** 2) @ cc.T  # (b, J) power term
-        metric -= 2.0 * cross  # in place: one (b, J) temporary fewer
-        out[lo:hi] = np.argmin(metric, axis=1)
+        yb, hb = y[lo : lo + rows], h[lo : lo + rows]
+        b = len(yb)
+        w = np.conjugate(yb, out=ws("w", (b, n), complex))
+        w *= hb
+        cross = np.matmul(w, codewords.T, out=ws("cross", (b, J), complex)).real
+        power = np.abs(hb, out=ws("power", (b, n)))
+        np.square(power, out=power)
+        metric = np.matmul(power, cc.T, out=ws("metric", (b, J)))  # (b, J) power term
+        cross *= 2.0
+        metric -= cross
+        np.argmin(metric, axis=1, out=out[lo : lo + rows])
     return out
 
 
@@ -90,32 +114,64 @@ def _detect_batch(y, h, codewords):
 _EXHAUSTIVE_MAX_J = 8
 
 
-def _detect_structured(y, h, scheme):
+def _detect_structured(y, h, scheme, ws=None):
     """ML decision per subcarrier: each subcarrier keeps, per label, its best
-    point s and metric |h|^2 |s|^2 - 2 Re(conj(y) h s); the pattern with the
-    least sum of its labels' minima wins. Ties go to the lowest point, then
-    the lowest pattern: _detect_batch's lowest-word order. A repeated point
-    of a short member ties with a lower index and never wins."""
+    metric |h|^2 |s|^2 - 2 Re(conj(y) h s) over the label's points s; the
+    pattern with the least sum of its labels' minima wins, and then each
+    subcarrier's point is the chosen label's best. Ties go to the lowest
+    point, then the lowest pattern: _detect_batch's lowest-word order. A
+    repeated point of a short member ties with a lower index and never wins.
+
+    The minima over points reduce the leading axis and are copied
+    subcarrier-major (n, K, b), so a pattern's score is a sum of row
+    gathers; the point index is scanned only for the chosen pattern's
+    labels. Every temporary is a view of ws, reused tile after tile."""
+    ws = _Workspace() if ws is None else ws
     pats, shifts, f2 = scheme.patterns, scheme.offsets, scheme.f2
     pts = scheme.points.T  # (M, K)
     coef = np.stack([np.abs(pts) ** 2, -2.0 * pts.real, 2.0 * pts.imag], axis=-1)
     P, n = pats.shape
     m, K, _ = coef.shape
+    coef, pats_t, shifts_t = coef.reshape(-1, 3), pats.T.copy(), shifts.T.copy()
     out = np.empty(len(y), dtype=np.int64)
     rows = max(1, (1 << 21) // max(P, n * K * m))
     for lo in range(0, len(y), rows):
-        hb = h[lo : lo + rows]
-        w = np.conj(y[lo : lo + rows]) * hb
-        feat = np.stack([hb.real**2 + hb.imag**2, w.real, w.imag]).reshape(3, -1)
-        metric = (coef.reshape(-1, 3) @ feat).reshape(m, K, -1, n)  # (m, K, b, n)
-        best, sym = metric[0].copy(), np.zeros(metric.shape[1:], dtype=np.intp)
-        for j in range(1, m):  # strict <: ties keep the lower point
-            sym[metric[j] < best] = j
-            np.minimum(best, metric[j], out=best)
-        score = sum(best[pats[:, i], :, i] for i in range(n))  # (P, b)
-        p = score.argmin(axis=0)
-        s = sym[pats[p], np.arange(len(hb))[:, None], np.arange(n)]
-        out[lo : lo + rows] = (p << f2) | (s << shifts[p]).sum(axis=1)
+        yb, hb = y[lo : lo + rows], h[lo : lo + rows]
+        b = len(yb)
+        w = np.conjugate(yb, out=ws("w", (b, n), complex))
+        w *= hb
+        feat = ws("feat", (3, b, n))
+        np.square(hb.real, out=feat[0])
+        feat[0] += np.square(hb.imag, out=feat[1])
+        np.copyto(feat[1], w.real)
+        np.copyto(feat[2], w.imag)
+        metric = np.matmul(coef, feat.reshape(3, -1), out=ws("metric", (m * K, b * n)))
+        metric = metric.reshape(m, K, b, n)
+        best = np.minimum.reduce(metric, axis=0, out=ws("best", (K, b, n)))
+        by_t = ws("by_t", (n, K, b))
+        np.copyto(by_t, best.transpose(2, 0, 1))
+        score, gather = ws("score", (P, b)), ws("gather", (P, b))
+        np.take(by_t[0], pats[:, 0], axis=0, out=score, mode="clip")  # clip: out unbuffered
+        for t in range(1, n):
+            score += np.take(by_t[t], pats[:, t], axis=0, out=gather, mode="clip")
+        by_block = ws("by_block", (b, P))
+        np.copyto(by_block, score.T)  # argmin over a leading axis would copy it anew
+        p = np.argmin(by_block, axis=1, out=ws("p", (b,), np.intp))
+        # the chosen labels' point metrics, (m, n, b), and their first minimum
+        at = np.take(pats_t, p, axis=1, out=ws("at", (n, b), np.intp), mode="clip")
+        at *= b * n
+        at += np.arange(0, b * n, n)
+        at += np.arange(n)[:, None]
+        cand = np.take(metric.reshape(m, -1), at, axis=1, out=ws("cand", (m, n, b)),
+                       mode="clip")
+        s, lt = ws("s", (n, b), np.intp), ws("lt", (n, b), bool)
+        s.fill(0)
+        for j in range(1, m):  # strict <: ties keep the lower point; j > s, so max sets s = j
+            np.less(cand[j], cand[0], out=lt)
+            np.minimum(cand[0], cand[j], out=cand[0])
+            np.maximum(s, np.multiply(lt, j, out=at), out=s)
+        s <<= np.take(shifts_t, p, axis=1, out=at, mode="clip")
+        out[lo : lo + rows] = (p << f2) | s.sum(axis=0)
     return out
 
 
@@ -151,16 +207,26 @@ class BerReport:
         return all(p.converged for p in self.points)
 
 
-def _draw_channel(gen, B, n, n0):
+_RSQRT2 = 1.0 / math.sqrt(2.0)  # numpy's complex / sqrt(2) multiplies by this
+
+
+def _draw_channel(gen, B, n, n0, ws):
     """Rayleigh fading h and noise of variance n0 for B blocks of n
-    subcarriers, drawn h real, h imaginary, noise real, noise imaginary."""
-    h = (gen.standard_normal((B, n)) + 1j * gen.standard_normal((B, n))) / math.sqrt(2.0)
-    noise = (gen.standard_normal((B, n)) + 1j * gen.standard_normal((B, n))) * math.sqrt(n0 / 2.0)
+    subcarriers, drawn h real, h imaginary, noise real, noise imaginary
+    into ws; bit for bit (a + 1j b) / sqrt(2) and (c + 1j d) sqrt(n0 / 2)."""
+    z = gen.standard_normal(out=ws("normals", (4, B, n)))
+    h, noise = ws("h", (B, n), complex), ws("noise", (B, n), complex)
+    np.multiply(z[0], _RSQRT2, out=h.real)
+    np.multiply(z[1], _RSQRT2, out=h.imag)
+    np.multiply(z[2], math.sqrt(n0 / 2.0), out=noise.real)
+    np.multiply(z[3], math.sqrt(n0 / 2.0), out=noise.imag)
     return h, noise
 
 
-def _ber_batch(scheme, snr_index, batch_index, n0, seed):
-    """Simulate one batch; returns integer error counters.
+def _ber_batch(scheme, snr_index, batch_index, n0, seed, ws):
+    """Simulate one batch in the thread's workspace ws; returns integer
+    error counters. Every (B, n) and detector temporary is a view of ws, so
+    a batch allocates only arrays of B elements.
 
     Channel and noise are drawn before the data bits, so two schemes with
     the same block length and seed see identical fading realizations: BER
@@ -168,11 +234,13 @@ def _ber_batch(scheme, snr_index, batch_index, n0, seed):
     """
     gen = _stream(seed, _TAG_BER, snr_index, batch_index)
     n, f, f2, B = scheme.n, scheme.f, scheme.f2, BATCH_BLOCKS
-    h, noise = _draw_channel(gen, B, n, n0)
+    h, noise = _draw_channel(gen, B, n, n0, ws)
     bits = gen.integers(0, 1 << f, size=B, dtype=np.uint64)
-    y = scheme.codewords[bits] * h + noise
-    det = (_detect_batch(y, h, scheme.codewords) if 1 << f <= _EXHAUSTIVE_MAX_J
-           else _detect_structured(y, h, scheme))
+    y = np.take(scheme.codewords, bits, axis=0, out=ws("y", (B, n), complex), mode="clip")
+    y *= h
+    y += noise
+    det = (_detect_batch(y, h, scheme.codewords, ws) if 1 << f <= _EXHAUSTIVE_MAX_J
+           else _detect_structured(y, h, scheme, ws))
     x = bits ^ det.astype(np.uint64)
     total = int(np.bitwise_count(x).sum())
     idx_err = int(np.bitwise_count(x >> np.uint64(f2)).sum())
@@ -185,9 +253,15 @@ def simulate_ber(config: SimConfig, workers: int = 1) -> BerReport:
     Each point runs whole waves of batches until min_bit_errors is reached
     or the block budget is exhausted (then flagged non-converged). Identical
     configs give bit-identical reports for any worker count.
+
+    Each thread that runs batches (the caller's, or each of the `workers`
+    pool threads) gets one workspace for the whole call and reuses its
+    buffers batch after batch and across SNR points; the workspaces die
+    with the call, and hold no reference to the scheme.
     """
     scheme = config.scheme
     max_batches = config.max_blocks // BATCH_BLOCKS
+    ws = _Workspace()  # thread-local: each thread sees its own buffers
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     points = []
     try:
@@ -197,7 +271,7 @@ def simulate_ber(config: SimConfig, workers: int = 1) -> BerReport:
             batches_done = 0
             while batches_done < max_batches:
                 todo = range(batches_done, min(batches_done + _WAVE_BATCHES, max_batches))
-                job = lambda b: _ber_batch(scheme, si, b, n0, config.master_seed)
+                job = lambda b: _ber_batch(scheme, si, b, n0, config.master_seed, ws)
                 results = pool.map(job, todo) if pool else map(job, todo)
                 for t, i, m in results:  # fixed batch order
                     tot += t
@@ -275,6 +349,7 @@ def estimate_rate(config: SimConfig, draws: int = 4096) -> RateReport:
     B, n_batches = _DRAW_BATCH, math.ceil(draws / _DRAW_BATCH)
     tile = max(1, min(J, _WORD_BUFFER // (2 * P * B)))  # divides J: both are 2^x
     g, gather = np.empty((2, P, tile, B))  # the tile and one subcarrier's gather
+    ws = _Workspace()  # the channel draws
     # -N0 d_t(x, s) = |h|^2 |x - s|^2 + 2 Re(conj(x - s) conj(h) n) = coef @ feat, one
     # coef per member: its distinct points, not their repeats in Scheme.points
     coefs = [np.stack([np.abs(d) ** 2, 2.0 * d.real, 2.0 * d.imag], axis=-1).reshape(-1, 3)
@@ -285,7 +360,7 @@ def estimate_rate(config: SimConfig, draws: int = 4096) -> RateReport:
         t_vals = []
         for bi in range(n_batches):
             gen = _stream(config.master_seed, _TAG_RATE, si, bi)
-            h, noise = _draw_channel(gen, B, n, n0)
+            h, noise = _draw_channel(gen, B, n, n0, ws)
             u = (np.conj(h) * noise).T
             feat = np.stack([np.abs(h.T) ** 2, u.real, u.imag]).reshape(3, -1) / -n0
             e = np.stack([_logsumexp0((c @ feat).reshape(-1, T, n, B)) for c in coefs],

@@ -14,10 +14,11 @@ from spmofdm.simulation import (
     RatePoint,
     RateReport,
     SimConfig,
-    _draw_channel,
     _stream,
     snr_db_to_n0,
 )
+
+from channel_oracle import draw_channel
 
 
 def estimate_rate_pairs(config: SimConfig, draws: int = 4096) -> RateReport:
@@ -40,7 +41,7 @@ def estimate_rate_pairs(config: SimConfig, draws: int = 4096) -> RateReport:
         for bi in range(n_batches):
             gen = _stream(config.master_seed, _TAG_RATE, si, bi)
             B = _DRAW_BATCH
-            h, noise = _draw_channel(gen, B, n, n0)
+            h, noise = draw_channel(gen, B, n, n0)
             a = (np.abs(h) ** 2).T  # (n, B)
             u = (np.conj(h) * noise).T  # (n, B)
             acc = np.zeros(B)

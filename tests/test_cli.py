@@ -461,6 +461,16 @@ class TestUnwritableOutput:
         assert captured.out == ""
         assert f"config error: cannot write {out}: " in captured.err
 
+    def test_codebook_writes_both_or_neither(self, tmp_path, capsys):
+        # only the second file, out + ".rates.csv", is unwritable
+        p = write_cfg(tmp_path, "c.cfg", "variant=ospm\nn=4\nk=2\nm=2\n")
+        (tmp_path / "o.csv.rates.csv").mkdir()
+        assert run("codebook", p, tmp_path / "o.csv") == EXIT_CONFIG
+        assert not (tmp_path / "o.csv").exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert f"config error: cannot write {tmp_path / 'o.csv.rates.csv'}: " in captured.err
+
     def test_output_key(self, tmp_path, capsys):
         p = write_cfg(tmp_path, "b.cfg", "variant=ospm\nn=4\nk=2\nm=2\n"
                       f"snr_start=0\nsnr_stop=0\nsnr_step=1\noutput={tmp_path}\n")

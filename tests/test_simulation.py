@@ -1,8 +1,12 @@
 """Link engine: mapping, detection, BER loop, rate estimator."""
 
+import gc
 import glob
 import math
 import os
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -14,16 +18,19 @@ from spmofdm.codebook import build_scheme
 from spmofdm.simulation import (
     BATCH_BLOCKS,
     SimConfig,
+    _ber_batch,
     _detect_batch,
     _detect_structured,
     _draw_channel,
     _logsumexp0,
     _stream,
+    _Workspace,
     estimate_rate,
     simulate_ber,
     snr_db_to_n0,
 )
 
+from channel_oracle import draw_channel
 from codeword_oracle import expand_codeword
 from rate_oracle import estimate_rate_pairs
 
@@ -87,7 +94,7 @@ class TestDetection:
         rng = np.random.default_rng(17)
         X = ospm422.codewords
         w = rng.integers(1 << ospm422.f, size=1000)
-        h, noise = _draw_channel(rng, 1000, 4, 0.5)
+        h, noise = draw_channel(rng, 1000, 4, 0.5)
         y = X[w] * h + noise
         metrics = np.linalg.norm(y[:, None, :] - X[None, :, :] * h[:, None, :], axis=2) ** 2
         assert (_detect_batch(y, h, X) == np.argmin(metrics, axis=1)).all()
@@ -117,7 +124,7 @@ class TestStructuredDetection:
         for si, snr_db in enumerate((0.0, 10.0, 20.0)):
             for bi in range(2):
                 gen = _stream(1905, simulation._TAG_BER, si, bi)
-                h, noise = _draw_channel(gen, BATCH_BLOCKS, scheme.n, snr_db_to_n0(snr_db))
+                h, noise = draw_channel(gen, BATCH_BLOCKS, scheme.n, snr_db_to_n0(snr_db))
                 bits = gen.integers(0, 1 << scheme.f, size=BATCH_BLOCKS, dtype=np.uint64)
                 y = X[bits] * h + noise
                 assert (_detect_structured(y, h, scheme) == _detect_batch(y, h, X)).all()
@@ -134,7 +141,7 @@ class TestStructuredDetection:
         X = scheme.codewords
         rng = np.random.default_rng(3)
         sent = rng.integers(1 << scheme.f, size=512)
-        h0, _ = _draw_channel(rng, sent.size, scheme.n, 1.0)
+        h0, _ = draw_channel(rng, sent.size, scheme.n, 1.0)
         for erased in [[i] for i in range(scheme.n)] + [list(range(scheme.n))]:
             h = h0.copy()
             h[:, erased] = 0.0
@@ -151,7 +158,7 @@ class TestStructuredDetection:
         B = 70_000  # P * B exceeds the 2^21-element tile
         assert P * B > 1 << 21 > P * (B // 2)
         rng = np.random.default_rng(8)
-        h, noise = _draw_channel(rng, B, ofspm42.n, 0.3)
+        h, noise = draw_channel(rng, B, ofspm42.n, 0.3)
         y = ofspm42.codewords[rng.integers(1 << ofspm42.f, size=B)] * h + noise
         tiled = _detect_structured(y, h, ofspm42)
         halves = [_detect_structured(y[s], h[s], ofspm42)
@@ -166,6 +173,115 @@ class TestStructuredDetection:
         one, two = simulate_ber(cfg, workers=1), simulate_ber(cfg, workers=2)
         monkeypatch.setattr(simulation, "_EXHAUSTIVE_MAX_J", 1 << ofspm42.f)
         assert one == two == simulate_ber(cfg, workers=1)
+
+
+class TestWorkspace:
+    """Batches run in one reused workspace per thread, with the old draws and
+    decisions."""
+
+    @pytest.mark.parametrize("B,n,snr_db", [(BATCH_BLOCKS, 1, 30.0), (BATCH_BLOCKS, 4, 0.0),
+                                            (256, 3, 17.5), (5, 2, -10.0)])
+    def test_draws_equal_complex_formula(self, B, n, snr_db):
+        n0 = snr_db_to_n0(snr_db)
+        for bi in range(3):
+            gen, ref_gen = (_stream(1905, simulation._TAG_BER, 2, bi) for _ in range(2))
+            h, noise = _draw_channel(gen, B, n, n0, _Workspace())
+            ref_h, ref_noise = draw_channel(ref_gen, B, n, n0)
+            assert h.tobytes() == ref_h.tobytes() and noise.tobytes() == ref_noise.tobytes()
+            # the stream is left where the old draw left it
+            assert gen.integers(1 << 62) == ref_gen.integers(1 << 62)
+
+    def test_batches_reuse_the_buffers(self):
+        scheme = build_scheme("ofspm", 4, m=4, selection="alg2")
+        ws = _Workspace()
+        _ber_batch(scheme, 0, 0, 0.1, 1905, ws)
+        bufs = dict(ws.bufs)
+        assert bufs["metric"].nbytes >= 1 << 21  # the largest temporary lives here
+        _ber_batch(scheme, 1, 7, 0.01, 1905, ws)
+        assert ws.bufs.keys() == bufs.keys()
+        assert all(ws.bufs[k] is v for k, v in bufs.items())
+
+    def test_buffers_are_per_thread(self):
+        ws = _Workspace()
+        mine = ws("x", (3, 4))
+        other = []
+        t = threading.Thread(target=lambda: other.append(ws("x", (3, 4))))
+        t.start()
+        t.join()
+        assert not np.shares_memory(mine, other[0])
+        assert np.shares_memory(mine, ws("x", (2, 4)))  # a shorter shape reuses the buffer
+
+    def test_alternated_schemes_share_one_workspace(self):
+        # different n, m and detectors through one workspace, batch by batch
+        schemes = [build_scheme("ofspm", 4, m=2, selection="alg2"), build_scheme("mm", 2, m=2),
+                   build_scheme("ofdm", 1, m=8), build_scheme("ofspm", 4, m=4, selection="alg2")]
+        ws = _Workspace()
+        for bi in range(2):
+            for scheme in schemes:
+                args = (scheme, 0, bi, snr_db_to_n0(12.0), 77)
+                assert _ber_batch(*args, ws) == _ber_batch(*args, _Workspace())
+
+    def test_more_workers_than_cores_under_fast_switching(self):
+        # a buffer shared between threads would mix batches and move the counts
+        cfg = SimConfig(scheme=build_scheme("ofspm", 4, m=4, selection="alg2"),
+                        snr_db_grid=(15.0,), min_bit_errors=10**9, max_blocks=16 * BATCH_BLOCKS,
+                        master_seed=13)
+        one = simulate_ber(cfg, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # more threads than cores, up to one per batch of a wave
+            assert simulate_ber(cfg, workers=min(os.cpu_count() or 1, 7) + 1) == one
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_alternated_runs_equal_separate_runs(self):
+        cfgs = [SimConfig(scheme=build_scheme("ospm", 4, k=2, m=2, selection="alg1"),
+                          snr_db_grid=(10.0,), min_bit_errors=300, master_seed=5),
+                SimConfig(scheme=build_scheme("mm", 2, m=2), snr_db_grid=(10.0, 20.0),
+                          min_bit_errors=300, master_seed=5)]
+        separate = []
+        for cfg in cfgs:  # each in a fresh thread of its own
+            t = threading.Thread(target=lambda c=cfg: separate.append(simulate_ber(c)))
+            t.start()
+            t.join()
+        for _ in range(2):
+            assert [simulate_ber(cfg, workers=w) for cfg, w in zip(cfgs, (1, 2))] == separate
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_scheme_released_after_the_call(self, workers):
+        scheme = build_scheme("ofspm", 4, m=2, selection="alg2")
+        ref = weakref.ref(scheme)
+        simulate_ber(SimConfig(scheme=scheme, snr_db_grid=(10.0,), min_bit_errors=1,
+                               master_seed=3), workers=workers)
+        del scheme
+        gc.collect()
+        assert ref() is None
+
+
+class TestReferenceCounts:
+    """The Philox/decision contract: seed 1905, 400 errors and two workers
+    give the (blocks, bit, index, mod) counts that the detectors before the
+    workspace gave."""
+
+    @pytest.mark.parametrize("variant,grid,max_blocks,counts", [
+        (dict(variant="ofdm", n=1, m=2), (30.0,), 40_000_000,
+         [(1605632, 401, 0, 401)]),
+        (dict(variant="mm", n=2, m=2), (10.0, 20.0), 40_000_000,
+         [(32768, 2131, 372, 1759), (98304, 481, 17, 464)]),
+        (dict(variant="ospm", n=4, k=2, m=2, selection="alg1"), (10.0, 20.0), 10_000_000,
+         [(32768, 13478, 10093, 3385), (32768, 574, 256, 318)]),
+        (dict(variant="ofspm", n=4, m=2, selection="alg2"), (10.0, 20.0), 40_000_000,
+         [(32768, 21460, 15098, 6362), (32768, 693, 304, 389)]),
+        (dict(variant="ofspm", n=4, m=4, selection="alg2"), (20.0,), 4_000_000,
+         [(32768, 6110, 3944, 2166)]),
+    ], ids=["ofdm_bpsk", "mm_2_2", "ospm_4_2_2", "ofspm_4_2", "ofspm_4_4"])
+    def test_seed_1905(self, variant, grid, max_blocks, counts):
+        cfg = SimConfig(scheme=build_scheme(**variant), snr_db_grid=grid, min_bit_errors=400,
+                        max_blocks=max_blocks, master_seed=1905)
+        got = [(p.blocks, p.bit_errors, p.index_bit_errors, p.mod_bit_errors)
+               for p in simulate_ber(cfg, workers=2).points]
+        assert got == counts
 
 
 class TestBerLoop:
@@ -204,7 +320,7 @@ class TestBerLoop:
         a = simulate_ber(cfg, workers=1)
         b = simulate_ber(cfg, workers=3)
         c = simulate_ber(cfg, workers=1)
-        assert a == b == c
+        assert a == b == c == simulate_ber(cfg, workers=2)
 
     def test_seed_changes_results(self):
         scheme = build_scheme("spm", 4, k=2, m=2, selection="alg1")
