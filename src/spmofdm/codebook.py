@@ -277,9 +277,9 @@ def restrict(book: IndexCodebook, indices, pad_to: int | None = None) -> IndexCo
 
 MAX_CONTRACTION_SIZE = 1 << 22  # entries an alphabet contraction holds at once
 
-# _least_pair's cost per (n + 1) prod U sum U against the row walk's per
-# pair-subcarrier: 0.2-0.4 measured on dense and sparse tables, 0.5 errs
-# toward the walk
+# _least_pair's two sweeps' cost per prod U sum U against the row walk's
+# per pair-subcarrier: 0.17-0.53 measured on dense and sparse tables (about
+# 1 below a few hundred rows), 0.5 errs toward the walk
 _DMIN_WEIGHT = 0.5
 
 
@@ -317,21 +317,22 @@ def codebook_dmin(codewords: Scheme | np.ndarray) -> tuple[float, float, int]:
     Euclidean distance over all codeword pairs, the minimum distance among
     pairs whose difference has the minimum number of nonzero entries, and
     that minimum count (the rank of the diagonal difference matrix).
-    Contracted over the per-subcarrier alphabets (column_alphabets) where
-    that is cheaper than the pair walk, which is exact either way.
+    Where that is cheaper than the pair walk (column_alphabets), one
+    (min, +) sweep over the per-subcarrier alphabets finds d_min and a
+    second, rank first, the rank-limited pair (_least_pair); exact either
+    way, with the same sums.
     """
     X = np.asarray(codewords.codewords if isinstance(codewords, Scheme) else codewords)
     if X.shape[0] < 2:
         raise ValueError("need at least 2 codewords")
-    alphabets = column_alphabets(X, weight=_DMIN_WEIGHT * (X.shape[1] + 1))
+    alphabets = column_alphabets(X, weight=_DMIN_WEIGHT)
     if alphabets is None:
         return _dmin_pairs(X)
     d2, rows, shape = alphabets
     if np.unique(rows).size < rows.size:
         return 0.0, 0.0, 0  # a repeated row is a pair at distance 0
-    _, best = _least_pair(rows, shape, d2, [np.zeros(d.shape, np.int32) for d in d2])
-    min_rank, best_rl = _least_pair(rows, shape, d2,
-                                    [(d > 1e-24).astype(np.int32) for d in d2])
+    _, best = _least_pair(rows, shape, d2)
+    min_rank, best_rl = _least_pair(rows, shape, d2, True)
     return math.sqrt(best), math.sqrt(best_rl), min_rank
 
 
@@ -350,37 +351,45 @@ def _dmin_pairs(X):
     return math.sqrt(best), math.sqrt(d2_rl), min_rank
 
 
-def _least_pair(rows, shape, d2, r):
-    """Lexicographic minimum of (sum_t r_t, sum_t d2_t) over pairs of the
-    distinct code tuples rows, as a (min, +) contraction over shape: the
-    pairs whose first differing subcarrier is s start at (0, 0) on rows
-    and take (r_t, d2_t)[x, y] on subcarriers s..n-1, left to right as a
-    row's sum adds them; x_s = y_s is (n + 1, inf), so it never wins."""
+def _least_pair(rows, shape, d2, ranked=False):
+    """Least sum_t d2_t over pairs of the distinct code tuples rows, as
+    (n + 1, d^2); ranked, the lexicographically least (sum_t r_t, sum_t
+    d2_t) with r_t = d2_t > 1e-24. One left-to-right (min, +) sweep over
+    shape: its state holds the pairs that already differ, indexed by the
+    first row's tuple with the second row's points on the columns swept.
+    At column t they take the full (r_t, d2_t) table, in place since its
+    diagonal is (0, 0), and the rows, where nothing differs yet and (0, 0)
+    is least, its off-diagonal part. Each d^2 is summed in column order, as
+    the row walk sums it; rounding is monotone, so the least partial sum
+    stays least."""
     n, size = len(shape), math.prod(shape)
-    best = (n + 1, math.inf)
-    for s in range(n):
-        rank = np.full(size, n + 1, dtype=np.int32)
-        dist = np.full(size, math.inf)
-        rank[rows], dist[rows] = 0, 0.0
-        for t in range(s, n):
-            rt, dt = r[t].copy(), d2[t].copy()
-            if t == s:
-                np.fill_diagonal(rt, n + 1)
-                np.fill_diagonal(dt, math.inf)
-            view = (math.prod(shape[:t]), shape[t], -1)
-            rank, dist = rank.reshape(view), dist.reshape(view)
-            out_rank = np.full_like(rank, np.iinfo(np.int32).max)
-            out = np.full_like(dist, math.inf)
-            for x in range(shape[t]):  # temporaries of prod(shape) entries
-                cand_rank = rank[:, x, None] + rt[x][:, None]
-                cand = dist[:, x, None] + dt[x][:, None]
-                better = (cand_rank < out_rank) | ((cand_rank == out_rank) & (cand < out))
-                np.copyto(out_rank, cand_rank, where=better)
-                np.copyto(out, cand, where=better)
-            rank, dist = out_rank.ravel(), out.ravel()
-        least = rank[rows].min()
-        best = min(best, (int(least), float(dist[rows][rank[rows] == least].min())))
-    return best
+    dt = np.min_scalar_type(2 * n + 2)  # n + 1 marks no pair and the diagonal
+    dist, rank = np.full(size, math.inf), np.full(size, n + 1, dt)
+    seed, cand, seed_r, cand_r, bar = np.empty(size), np.empty(size), *np.empty((3, size), dt)
+    better = np.empty(size, bool)
+    for t in range(n):
+        off, r = d2[t].copy(), (d2[t] > 1e-24).astype(dt)
+        np.fill_diagonal(off, math.inf)
+        np.fill_diagonal(r, n + 1)
+        np.copyto(seed, dist)
+        np.copyto(seed_r, rank)
+        seed[rows], seed_r[rows] = 0.0, 0
+        view = (math.prod(shape[:t]), shape[t], -1)
+        s, d, c, sr, rk, cr, br, b = (a.reshape(view) for a in (
+            seed, dist, cand, seed_r, rank, cand_r, bar, better))
+        for x in range(shape[t]):  # into buffers of prod(shape) entries
+            np.add(s[:, x, None], off[x][:, None], out=c)
+            if not ranked:
+                np.minimum(d, c, out=d)
+                continue
+            np.add(sr[:, x, None], r[x][:, None], out=cr)
+            np.less(c, d, out=b)
+            np.add(rk, b, out=br)  # cand < (rk, d) iff cr < rk + (c < d)
+            np.less(cr, br, out=b)
+            np.copyto(rk, cr, where=b)
+            np.copyto(d, c, where=b)
+    least = rank[rows].min()
+    return int(least), float(dist[rows][rank[rows] == least].min())
 
 
 @dataclass(frozen=True)

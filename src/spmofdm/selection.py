@@ -177,7 +177,7 @@ def clique_upper_bound(graph: HammingGraph) -> int:
 
 
 def is_clique(graph: HammingGraph, subset) -> bool:
-    """True iff every pair in the subset is adjacent."""
+    """True iff no member of the subset is a non-neighbour of another."""
     idx = list(subset)
     L = graph.order
     for i in idx:
@@ -185,9 +185,10 @@ def is_clique(graph: HammingGraph, subset) -> bool:
             raise IndexError(f"vertex index {i} out of range [0, {L})")
     if len(set(idx)) != len(idx):
         return False
-    sub = graph.adjacency[np.ix_(idx, idx)]
-    m = len(idx)
-    return int(sub.sum()) == m * (m - 1)
+    ptr, non = graph.non_neighbours
+    member = np.zeros(L, dtype=bool)
+    member[idx] = True
+    return not (np.repeat(member, np.diff(ptr)) & member[non]).any()
 
 
 def brute_force_k_clique(graph: HammingGraph, budget: int | None = None) -> CliqueResult:

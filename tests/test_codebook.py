@@ -363,6 +363,26 @@ def small_alphabet_books(seed, count):
         yield X
 
 
+def distinct_row_books(seed, count):
+    """Random (J, n) books of distinct rows, n from 1 to 6, over q = 2..4
+    labels per subcarrier, each subcarrier with its own q points; in about
+    a third of the books two points of a subcarrier lie within 1e-12, and
+    half the books are single-parity codes (labels summing to 0 mod q),
+    whose distinct rows differ on at least two subcarriers."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, q = int(rng.integers(1, 7)), int(rng.integers(2, 5))
+        labels = np.array(list(itertools.product(range(q), repeat=n)))
+        if n > 1 and rng.random() < 0.5:
+            labels = labels[labels.sum(axis=1) % q == 0]
+        J = int(rng.integers(2, min(len(labels), 64) + 1))
+        rows = labels[rng.choice(len(labels), size=J, replace=False)]
+        points = rng.standard_normal((n, q)) + 1j * rng.standard_normal((n, q))
+        if rng.random() < 1 / 3:
+            points[rng.integers(n), 1] = points[0, 0] + 3e-13 * (1 - 1j)
+        yield points[np.arange(n), rows]
+
+
 class TestAlphabetKernels:
     """codebook_dmin and union_bound_ber contract per-subcarrier alphabets
     on dense tables and walk the codeword pairs on sparse ones; both paths
@@ -378,6 +398,19 @@ class TestAlphabetKernels:
                 got, ref = union_bound_ber(X, g), union_bound_ber_pairs(X, g)
                 assert got.pairs == ref.pairs
                 assert abs(got.ber_bound - ref.ber_bound) <= 1e-12 * ref.ber_bound
+
+    def test_random_distinct_rows(self, monkeypatch):
+        monkeypatch.setattr(codebook, "_DMIN_WEIGHT", 0.0)
+        ranks, widths = [], []
+        for X in distinct_row_books(seed=11, count=400):
+            got = codebook_dmin(X)
+            assert got == _dmin_pairs(X)
+            ranks.append(got[2])
+            widths.append(X.shape[1])
+        ranks, widths = np.array(ranks), np.array(widths)
+        # the rank-compared sweep meets every rank and width, not only rank 0
+        assert {0, 1, 2, 3} <= set(ranks) and set(widths) == set(range(1, 7))
+        assert (ranks >= 2).sum() >= 100 and (widths > 4).sum() >= 100
 
     @pytest.mark.parametrize("variant, contracts", [
         (dict(variant="ofspm", n=4, m=2, selection="alg2"), True),  # J = 512, prod U = 8^4
@@ -401,7 +434,7 @@ class TestAlphabetKernels:
         dict(variant="ofdm", n=1, m=2),
         dict(variant="mm", n=2, m=2),
         dict(variant="ofspm", n=4, m=2, selection="alg2"),
-        dict(variant="ofdm-im", n=4, n_active=2, m=8),  # rate_mc_full/ofdm_im_4_2_8: walks
+        dict(variant="ofdm-im", n=4, n_active=2, m=8),  # rate_mc_full/ofdm_im_4_2_8: the bound walks
     ], ids=lambda v: "-".join(str(x) for x in v.values()))
     def test_scheme_or_table(self, variant):
         scheme = build_scheme(**variant)

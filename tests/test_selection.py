@@ -477,6 +477,38 @@ class TestIsClique:
         g = build_hamming_graph(TWO_GROUP_PATTERNS)
         with pytest.raises(IndexError):
             is_clique(g, [0, 99])
+        with pytest.raises(IndexError):
+            is_clique(g, [-1, 2])
+
+    def test_repeated_vertex(self):
+        g = build_hamming_graph(TWO_GROUP_PATTERNS)
+        assert is_clique(g, [0, 1]) and not is_clique(g, [0, 1, 0])
+
+    @pytest.mark.parametrize("edge_list", [False, True], ids=["patterns", "edge_list"])
+    @pytest.mark.parametrize("name", ["ospm_n4", "ofspm_n4", "spm6_3", "ofdm_im6_2",
+                                      "random_n3_q12"])
+    def test_matches_adjacency(self, name, edge_list):
+        """The non-neighbour lists against the m x m adjacency gather, on
+        cliques, cliques grown or shrunk by one vertex and random subsets."""
+        g = build_hamming_graph(ORACLE_BOOKS[name]())
+        if edge_list:
+            g = graph_from_edge_list(export_edge_list(g))
+            assert g.non_edges is None
+        rng = np.random.default_rng(len(name))
+        clique = list(vertex_exclusion(g).indices)
+        outside = [v for v in range(g.order) if v not in clique]
+        subsets = [clique, clique[:-1], [], clique[:1] + clique]
+        subsets += [clique + [v] for v in rng.choice(outside, size=min(5, len(outside)))]
+        subsets += [rng.choice(g.order, size=k, replace=False) for k in (2, 2, 3, 3, 5)]
+        verdicts = []
+        for sub in subsets:
+            idx = list(sub)
+            m = len(idx)
+            want = (len(set(idx)) == m
+                    and int(g.adjacency[np.ix_(idx, idx)].sum()) == m * (m - 1))
+            assert is_clique(g, sub) == want
+            verdicts.append(want)
+        assert True in verdicts and False in verdicts
 
 
 class TestInvariants:
