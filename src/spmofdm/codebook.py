@@ -238,9 +238,7 @@ class Scheme:
         """(2^f, n) index of word w's point on each subcarrier into the
         members laid end to end, np.concatenate(family.members); refused
         from its size alone above MAX_TABLE_SIZE entries."""
-        if (1 << self.f) * self.n > MAX_TABLE_SIZE:
-            raise ValueError(f"{self.name} needs a 2^{self.f} x {self.n} codeword table, "
-                             f"above the limit {MAX_TABLE_SIZE} entries")
+        _check_table(self.name, self.f, self.n)
         starts = np.cumsum([0, *map(len, self.family.members[:-1])])
         r = np.arange(1 << self.f2)[None, :, None]
         sym = (r >> self.offsets[:, None]) & ((1 << self.widths[:, None]) - 1)
@@ -250,6 +248,21 @@ class Scheme:
     def codewords(self) -> np.ndarray:
         """(2^f, n) complex table; row index == transmitted bit word."""
         return _frozen(np.concatenate(self.family.members)[self.symbols])
+
+
+def _check_table(name: str, f: int, n: int):
+    """Refuse a 2^f x n symbol table from its size alone, above MAX_TABLE_SIZE
+    entries."""
+    if (1 << f) * n > MAX_TABLE_SIZE:
+        raise ValueError(f"{name} needs a 2^{f} x {n} codeword table, "
+                         f"above the limit {MAX_TABLE_SIZE} entries")
+
+
+def _log2_m(m: int) -> int:
+    """Bits per point of an m-point constellation, m a power of two."""
+    if m < 1 or m & (m - 1):
+        raise ValueError(f"m must be a power of two, got {m}")
+    return m.bit_length() - 1
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -421,13 +434,12 @@ def rate(variant, n, k=None, m=2, d=None, n_active=None, usable_patterns=None) -
     the full count.
     """
     spec = _variant(variant, n, k, d, n_active)
-    if m < 1 or (m & (m - 1)) != 0:
-        raise ValueError(f"m must be a power of two, got {m}")
+    bits = _log2_m(m)
     usable = spec.count if usable_patterns is None else usable_patterns
     if not 1 <= usable <= spec.count:
         raise ValueError(f"usable_patterns must be in [1, {spec.count}], got {usable}")
     return RateFigures(variant=spec.name, n=n, k=spec.k, m=m, f1=floor_log2(usable),
-                       f2=spec.active * int(math.log2(m)), count=spec.count)
+                       f2=spec.active * bits, count=spec.count)
 
 
 _LOG2_E = math.log2(math.e)
@@ -479,13 +491,15 @@ def build_scheme(
 
     PSK identifiers are rotated M-PSK with max(n, labels) rotation slots
     (one slot per subcarrier, the multi-mode construction); QAM
-    identifiers are cosets of 16-QAM. The solver and the constellation are
-    checked before the book is enumerated. A selection that runs out of its
+    identifiers are cosets of 16-QAM. The solver, the constellation and m
+    are checked before the book is enumerated, and the size of the
+    codeword table before the family is built. A selection that runs out of its
     budget, or an exact search that runs out of time, raises
     BudgetExhausted.
     """
     spec = _variant(variant, n, k, d, n_active)
     v = spec.name
+    bits = _log2_m(m)
     solve = None if selection == "none" else _sel.solver(selection, budget, time_budget)
     if solve is None and pad_to is not None:
         raise ValueError("pad_to only applies together with selection")
@@ -501,6 +515,9 @@ def build_scheme(
             raise _sel.BudgetExhausted(f"{selection} selection on {v}({n}) ran out of budget")
         book = restrict(book, res.indices, pad_to=pad_to)
 
+    if name is None:
+        name = f"{v}({','.join(str(x) for x in (n, *spec.params, m))})"
+    _check_table(name, book.f1 + spec.active * bits, n)  # log2(m) bits per active subcarrier
     if v == "ofdm-im":
         family = _im_family(m, n, spec.active)
     else:
@@ -515,9 +532,6 @@ def build_scheme(
                     f"{QAM_PARENT >> levels}-point members, not m={m}"
                 )
             family = ConstellationFamily(members=qam_family(levels).members[:k_needed])
-
-    if name is None:
-        name = f"{v}({','.join(str(x) for x in (n, *spec.params, m))})"
     return Scheme(name, book, family)
 
 

@@ -185,6 +185,8 @@ def is_clique(graph: HammingGraph, subset) -> bool:
             raise IndexError(f"vertex index {i} out of range [0, {L})")
     if len(set(idx)) != len(idx):
         return False
+    if graph.non_edges is None:  # an edge list: its own rows, not every vertex's list
+        return int(graph.adjacency[np.ix_(idx, idx)].sum()) == len(idx) * (len(idx) - 1)
     ptr, non = graph.non_neighbours
     member = np.zeros(L, dtype=bool)
     member[idx] = True
@@ -204,25 +206,17 @@ def brute_force_k_clique(graph: HammingGraph, budget: int | None = None) -> Cliq
     """
     exp0 = floor_log2(clique_upper_bound(graph))
     t0 = time.perf_counter()
-    L = graph.order
     adj = graph.adjacency
-    examined = 0
-    for kappa in range(exp0 + 1):
-        k = 1 << (exp0 - kappa)  # k <= bound <= L
-        need = k * (k - 1)
-        for subset in itertools.combinations(range(L), k):
-            if budget is not None and examined >= budget:
-                return CliqueResult(
-                    indices=(), algorithm="alg1", graph=graph,
-                    elapsed_s=time.perf_counter() - t0, conclusive=False,
-                )
-            examined += 1
-            if int(adj[np.ix_(subset, subset)].sum()) == need:
-                return CliqueResult(
-                    indices=subset, algorithm="alg1", graph=graph,
-                    elapsed_s=time.perf_counter() - t0,
-                )
-    raise AssertionError("unreachable: a single vertex is always a clique")
+    subsets = itertools.chain.from_iterable(  # k <= bound <= L; k = 1 always succeeds
+        itertools.combinations(range(graph.order), 1 << e) for e in range(exp0, -1, -1))
+    if budget is not None:
+        subsets = itertools.islice(subsets, max(budget, 0))
+    found = next((s for s in subsets
+                  if int(adj[np.ix_(s, s)].sum()) == len(s) * (len(s) - 1)), None)
+    return CliqueResult(
+        indices=found or (), algorithm="alg1", graph=graph,
+        elapsed_s=time.perf_counter() - t0, conclusive=found is not None,
+    )
 
 
 def vertex_exclusion(graph: HammingGraph) -> CliqueResult:
@@ -291,21 +285,13 @@ def exact_max_clique(graph: HammingGraph, time_budget: float = TIME_BUDGET_S) ->
 
     best: list[int] = []
     current: list[int] = []  # the vertex that opened each node below the root
-    timed_out = False
     # One frame per open node: [candidate set P, vertices in color order,
     # their colors]. The last vertex is tried next; a tried vertex leaves
-    # both lists and P.
-    stack = []
-
-    def open_node(P: int):
-        nonlocal timed_out
-        if timed_out or time.perf_counter() > deadline:
-            timed_out = True
-            return False
-        stack.append([P, *_color_sort(P, adj_masks)])
-        return True
-
-    open_node((1 << L) - 1)
+    # both lists and P. Past the deadline no node opens, and the open
+    # frames run out.
+    timed_out = time.perf_counter() > deadline
+    root = (1 << L) - 1
+    stack = [] if timed_out else [[root, *_color_sort(root, adj_masks)]]
     while stack:
         frame = stack[-1]
         P, verts, colors = frame
@@ -318,11 +304,14 @@ def exact_max_clique(graph: HammingGraph, time_budget: float = TIME_BUDGET_S) ->
         colors.pop()
         frame[0] = P & ~(1 << v)
         newP = P & adj_masks[v]
-        if newP:
-            if open_node(newP):
-                current.append(v)
-        elif len(current) >= len(best):
-            best = [*current, v]
+        if not newP:
+            if len(current) >= len(best):
+                best = [*current, v]
+            continue
+        timed_out = timed_out or time.perf_counter() > deadline
+        if not timed_out:
+            stack.append([newP, *_color_sort(newP, adj_masks)])
+            current.append(v)
 
     return CliqueResult(
         indices=tuple(sorted(best)), algorithm="exact", graph=graph,
@@ -349,25 +338,25 @@ def graph_from_edge_list(text: str) -> HammingGraph:
     """Graph from one 0-based 'l lhat' pair per line, # comments allowed.
     Vertex count is one past the largest index seen."""
     edges = []
-    top = -1
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
-        parts = body.split()
-        if len(parts) != 2:
-            raise ValueError(f"edge list line {lineno}: expected 'i j', got {line!r}")
-        i, j = int(parts[0]), int(parts[1])
+        try:
+            i, j = map(int, body.split())
+        except ValueError:
+            raise ValueError(f"edge list line {lineno}: expected 'i j' (two integers), "
+                             f"got {line!r}") from None
         if i < 0 or j < 0 or i == j:
             raise ValueError(f"edge list line {lineno}: bad edge ({i}, {j})")
         if max(i, j) >= MAX_EDGE_LIST_ORDER:
             raise ValueError(f"edge list line {lineno}: vertex {max(i, j)} above the "
                              f"limit {MAX_EDGE_LIST_ORDER - 1}")
         edges.append((i, j))
-        top = max(top, i, j)
-    if top < 1:
+    if not edges:
         raise ValueError("edge list needs at least one edge")
-    adj = np.zeros((top + 1, top + 1), dtype=bool)
-    for i, j in edges:
-        adj[i, j] = adj[j, i] = True
+    i, j = np.array(edges).T
+    L = max(i.max(), j.max()) + 1
+    adj = np.zeros((L, L), dtype=bool)
+    adj[i, j] = adj[j, i] = True
     return HammingGraph(adj)

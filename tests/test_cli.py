@@ -281,6 +281,18 @@ class TestSelectCommand:
         assert not out.exists()
         assert "limit" in capsys.readouterr().err
 
+    def test_edge_list_non_integer_vertex(self, tmp_path, capsys):
+        edges = tmp_path / "g.txt"
+        edges.write_text("0 1\n1 x\n")
+        p = write_cfg(tmp_path, "s.cfg", f"graph={edges}\nalgorithms=alg2\n")
+        out = tmp_path / "sel.csv"
+        assert run("select", p, out) == EXIT_CONFIG
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "edge list line 2: " in captured.err and "'1 x'" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_edge_list_in_config_hash(self, tmp_path):
         # same config text, two different edge lists behind the same path
         edges = tmp_path / "g.txt"
@@ -554,6 +566,21 @@ class TestSizeGuards:
         assert not out.exists()
         assert (f"2^40 x 40 codeword table, above the limit {codebook.MAX_TABLE_SIZE} "
                 "entries" in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command,text,table", [
+        ("bound", f"variant=ofdm\nn=1\nm={1 << 40}\n", "2^40 x 1"),
+        ("ber", "variant=ofdm\nn=70\nm=2\n", "2^70 x 70"),
+    ], ids=["bound_m_2_40", "ber_ofdm_70"])
+    def test_codeword_table_size_before_family(self, tmp_path, capsys, command, text, table):
+        # refused before the family's 2^40-point PSK or the BER words are drawn
+        p = write_cfg(tmp_path, "t.cfg", text + "snr_start=0\nsnr_stop=0\nsnr_step=1\n")
+        out = tmp_path / "o.csv"
+        assert run(command, p, out) == EXIT_CONFIG
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert (f"{table} codeword table, above the limit {codebook.MAX_TABLE_SIZE} entries"
+                in err)
+        assert "Traceback" not in err
 
 
 class TestRateCommands:

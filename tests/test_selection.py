@@ -510,6 +510,16 @@ class TestIsClique:
             verdicts.append(want)
         assert True in verdicts and False in verdicts
 
+    def test_edge_list_reads_subset_rows(self):
+        # a 4096-vertex path: its non-neighbour lists would be nearly L^2 int32
+        L = 4096
+        g = graph_from_edge_list("".join(f"{v} {v + 1}\n" for v in range(L - 1)))
+        for sub in ([0, 1], [1, 0], [5], [], [0, 2], [0, 1, 2], [L - 2, L - 1]):
+            m = len(sub)
+            want = int(g.adjacency[np.ix_(sub, sub)].sum()) == m * (m - 1)
+            assert is_clique(g, sub) == want
+        assert "non_neighbours" not in vars(g)
+
 
 class TestInvariants:
     def small_graphs(self):
