@@ -23,18 +23,11 @@ __all__ = [
 # (c, den) of the Q approximation's terms: c / prod_t (1 + g z_t / den)
 _Q_TERMS = ((1.0 / 12.0, 4.0), (1.0 / 4.0, 3.0))
 
-# _bound_contraction's cost per f prod U sum U against the row walk's per
-# pair-subcarrier: 0.015-0.075 measured on dense and sparse tables, 0.1
-# errs toward the walk
-_BOUND_WEIGHT = 0.1
-
 
 def _pep_diagonal(z, g):
     """Uncorrelated-fading PEP of the squared differences z along the last
-    axis: 1/12 / prod(1 + g z_n / 4) + 1/4 / prod(1 + g z_n / 3)."""
-    return 1.0 / (12.0 * np.prod(1.0 + g * z / 4.0, axis=-1)) + 1.0 / (
-        4.0 * np.prod(1.0 + g * z / 3.0, axis=-1)
-    )
+    axis: the sum over _Q_TERMS of c / prod(1 + g z_n / den)."""
+    return sum(c / np.prod(1.0 + g * z / den, axis=-1) for c, den in _Q_TERMS)
 
 
 @dataclass(frozen=True)
@@ -56,10 +49,10 @@ def union_bound_ber(codewords: Scheme | np.ndarray, es_over_n0: float) -> BoundR
     T1_b, T0_b the counts over code tuples of the rows whose bit b is set
     or clear, the sum is 2 sum_c c sum_b <T1_b, (A_0 x ... x A_{n-1}) T0_b>:
     n tensordots per bit and term. Every term is nonnegative, and i = j
-    never pairs a set bit with a clear one. Where that contraction costs
-    more than the pair walk (column_alphabets), the upper triangle of
-    codeword pairs is walked row by row instead. codewords is a Scheme or
-    a (J, n) codeword table such as its codewords.
+    never pairs a set bit with a clear one. Where column_alphabets does not
+    contract, the upper triangle of codeword pairs is walked row by row
+    instead, or the table is refused (ValueError). codewords is a Scheme
+    or a (J, n) codeword table such as its codewords.
     """
     X = np.asarray(codewords.codewords if isinstance(codewords, Scheme) else codewords)
     J = X.shape[0]
@@ -67,7 +60,7 @@ def union_bound_ber(codewords: Scheme | np.ndarray, es_over_n0: float) -> BoundR
     if 1 << f != J:
         raise ValueError(f"codeword count {J} is not a power of two")
     g = es_over_n0
-    alphabets = column_alphabets(X, weight=_BOUND_WEIGHT * f)
+    alphabets = column_alphabets(X)
     if alphabets is None:
         words = np.arange(J, dtype=np.uint64)
         parts = [_pep_diagonal(np.abs(X[i + 1 :] - X[i]) ** 2, g)

@@ -158,11 +158,16 @@ def _snr_grid(cfg):
 
 
 def _out_path(cfg, args, suffix):
+    """The command's output path, checked (_check_writable) before it does
+    any work."""
     if args.out:
-        return args.out
-    if "output" in cfg:
-        return cfg["output"]
-    return f"spmofdm_{suffix}.csv"
+        path = args.out
+    elif "output" in cfg:
+        path = cfg["output"]
+    else:
+        path = f"spmofdm_{suffix}.csv"
+    _check_writable(path)
+    return path
 
 
 def _check_writable(path):
@@ -204,18 +209,16 @@ def _rate_row(fig):
 
 
 def cmd_codebook(cfg, args):
+    out = _out_path(cfg, args, "codebook")
+    _check_writable(out + ".rates.csv")  # both files or neither
     scheme = _scheme_from_config(cfg)
     dmin, dmin_rl, min_rank = codebook.codebook_dmin(scheme)
     m, usable = scheme.family.M, len(scheme.book.patterns)
     figures = _call(codebook.rate, cfg, scheme.book.variant, scheme.n, m=m,
                     usable_patterns=usable)
-    out = _out_path(cfg, args, "codebook")
-    files = [(out, codebook.export_codebook(scheme.book, m=m).rstrip("\n").splitlines()),
-             (out + ".rates.csv", [_RATE_HEADER, _rate_row(figures)])]
-    for path, _ in files:  # both or neither
-        _check_writable(path)
-    for path, lines in files:
-        _write(path, cfg, lines, args.verbose)
+    _write(out, cfg, codebook.export_codebook(scheme.book, m=m).rstrip("\n").splitlines(),
+           args.verbose)
+    _write(out + ".rates.csv", cfg, [_RATE_HEADER, _rate_row(figures)], args.verbose)
     print(
         f"{scheme.name}: patterns={usable} f1={scheme.f1} f2={scheme.f2} "
         f"rate={scheme.rate_bits_per_subcarrier:.9g} d_min={dmin:.6g} "
@@ -231,6 +234,7 @@ def _select_row(res):
 
 
 def cmd_select(cfg, args):
+    out = _out_path(cfg, args, "select")
     algos = [a.strip() for a in cfg["algorithms"].split(",") if a.strip()]
     if not algos:
         raise ConfigError("algorithms names no solver")
@@ -266,7 +270,7 @@ def cmd_select(cfg, args):
             f"elapsed={res.elapsed_s * 1e3:.3f} ms"
             + ("" if res.settled else " (budget exhausted)")
         )
-    _write(_out_path(cfg, args, "select"), cfg, rows, args.verbose)
+    _write(out, cfg, rows, args.verbose)
     return status
 
 
@@ -276,18 +280,18 @@ def _ber_row(p):
 
 
 def cmd_ber(cfg, args):
+    out = _out_path(cfg, args, "ber")
     scheme = _scheme_from_config(cfg)
     sim = _call(simulation.SimConfig, cfg, scheme=scheme, snr_db_grid=_snr_grid(cfg))
+    grid = sim.snr_db_grid
+    # the bound before the simulation, so that a table it refuses costs no run
+    bounds = ([f",{analysis.union_bound_ber(scheme, 10.0 ** (snr / 10.0)).ber_bound:.9g}"
+               for snr in grid] if cfg["with_bound"] else [""] * len(grid))
     report = simulation.simulate_ber(sim, workers=args.workers)
-    rows = ["snr_db,bits,errors,ber,index_ber,mod_ber,converged"]
-    rows += [_ber_row(p) for p in report.points]
-    if cfg["with_bound"]:
-        rows[0] += ",bound_ber"
-        for i, p in enumerate(report.points, start=1):
-            g = 10.0 ** (p.snr_db / 10.0)
-            b = analysis.union_bound_ber(scheme, g)
-            rows[i] += f",{b.ber_bound:.9g}"
-    _write(_out_path(cfg, args, "ber"), cfg, rows, args.verbose)
+    rows = ["snr_db,bits,errors,ber,index_ber,mod_ber,converged"
+            + (",bound_ber" if cfg["with_bound"] else "")]
+    rows += [_ber_row(p) + b for p, b in zip(report.points, bounds)]
+    _write(out, cfg, rows, args.verbose)
     for p in report.points:
         print(f"{scheme.name} @ {p.snr_db:g} dB: ber={p.ber:.3e} "
               f"({p.bit_errors} errors / {p.blocks} blocks)"
@@ -296,6 +300,7 @@ def cmd_ber(cfg, args):
 
 
 def cmd_bound(cfg, args):
+    out = _out_path(cfg, args, "bound")
     scheme = _scheme_from_config(cfg)
     rows = ["snr_db,bound_ber,pairs_enumerated,exact_flag"]
     for snr in _snr_grid(cfg):
@@ -303,11 +308,12 @@ def cmd_bound(cfg, args):
         # the bound is exact over all J(J - 1) ordered pairs (none is
         # sampled), so exact_flag is always 1
         rows.append(f"{snr:.9g},{res.ber_bound:.9g},{res.pairs},1")
-    _write(_out_path(cfg, args, "bound"), cfg, rows, args.verbose)
+    _write(out, cfg, rows, args.verbose)
     return EXIT_OK
 
 
 def cmd_rate(cfg, args):
+    out = _out_path(cfg, args, "rate")
     if "variants" in cfg:
         variants = [v.strip() for v in cfg["variants"].split(",") if v.strip()]
     else:
@@ -338,7 +344,7 @@ def cmd_rate(cfg, args):
             rows.append(row)
     if len(rows) == 1:  # every row rejected, or an empty variant or n range
         raise rejected or ConfigError("no (variant, n) pair to tabulate")
-    _write(_out_path(cfg, args, "rate"), cfg, rows, args.verbose)
+    _write(out, cfg, rows, args.verbose)
     return EXIT_OK
 
 
@@ -355,12 +361,13 @@ def _asymptote(fig, fixed_k):
 
 
 def cmd_rate_mc(cfg, args):
+    out = _out_path(cfg, args, "rate_mc")
     scheme = _scheme_from_config(cfg)
     sim = _call(simulation.SimConfig, cfg, scheme=scheme, snr_db_grid=_snr_grid(cfg))
     report = _call(simulation.estimate_rate, cfg, sim)
     rows = ["snr_db,rate,stderr,draws"]
     rows += [f"{p.snr_db:.9g},{p.rate:.9g},{p.stderr:.9g},{p.draws}" for p in report.points]
-    _write(_out_path(cfg, args, "rate_mc"), cfg, rows, args.verbose)
+    _write(out, cfg, rows, args.verbose)
     for p in report.points:
         print(f"{scheme.name} @ {p.snr_db:g} dB: rate={p.rate:.4f} +- {p.stderr:.4f}")
     return EXIT_OK

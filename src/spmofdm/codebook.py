@@ -289,34 +289,38 @@ def restrict(book: IndexCodebook, indices, pad_to: int | None = None) -> IndexCo
 
 
 MAX_CONTRACTION_SIZE = 1 << 22  # entries an alphabet contraction holds at once
-
-# _least_pair's two sweeps' cost per prod U sum U against the row walk's
-# per pair-subcarrier: 0.17-0.53 measured on dense and sparse tables (about
-# 1 below a few hundred rows), 0.5 errs toward the walk
-_DMIN_WEIGHT = 0.5
+# Most row pairs, J(J - 1)/2, a walk may take: admits ofdm-im(7,3,8) (J = 2^14,
+# about 18 s per bound point), refuses mm(6,4) (J = 2^21, about 66 hours)
+MAX_WALK_PAIRS = 1 << 28
 
 
-def column_alphabets(codewords: np.ndarray, weight: float):
+def _contracts(shape, J, n) -> bool:
+    """Both kernels' route rule: contract when the operands fit
+    MAX_CONTRACTION_SIZE and the contraction's prod U * sum U terms are at
+    most the pair walk's J^2 n."""
+    size = math.prod(shape)
+    return (size + sum(u * u for u in shape) <= MAX_CONTRACTION_SIZE
+            and size * sum(shape) <= J * J * n)
+
+
+def column_alphabets(codewords: np.ndarray):
     """Per-subcarrier alphabets of a (J, n) codeword array, for kernels
     that turn a sum or minimum over row pairs of a per-subcarrier product
     or sum into a contraction over U = (|u_0|, ..., |u_{n-1}|), u_t =
     unique(X[:, t]). Returns (d2, codes, U): d2[t][x, y] = |u_x - u_y|^2
     on u_t, and codes[i] row i's tuple of indices into the u_t, raveled
-    in C order.
-
-    Returns None where walking the J(J - 1)/2 row pairs is cheaper: when
-    the contraction's work, weight terms per code tuple and alphabet
-    point (weight * prod U * sum U), exceeds the walk's J^2 n / 2
-    pair-subcarrier terms, or when its operands would exceed
-    MAX_CONTRACTION_SIZE entries. A dense table (prod U << J^2) contracts;
-    a sparse one (few rows over large alphabets) walks."""
+    in C order. Returns None where the kernels walk the row pairs instead
+    (_contracts: a dense table, prod U << J^2, contracts; a sparse one
+    walks), and raises ValueError where the walk has above MAX_WALK_PAIRS."""
     X = np.asarray(codewords)
     J, n = X.shape
     alphabets, codes = zip(*(np.unique(col, return_inverse=True) for col in X.T))
     shape = tuple(map(len, alphabets))
-    size = math.prod(shape)
-    if (size + sum(u * u for u in shape) > MAX_CONTRACTION_SIZE
-            or weight * size * sum(shape) > J * J * n / 2):
+    if not _contracts(shape, J, n):
+        pairs = J * (J - 1) // 2
+        if pairs > MAX_WALK_PAIRS:
+            raise ValueError(f"{J} codewords over alphabets {shape} do not contract, and "
+                             f"their {pairs} pairs exceed the walk limit {MAX_WALK_PAIRS}")
         return None
     d2 = [np.abs(u[:, None] - u[None, :]) ** 2 for u in alphabets]
     return d2, np.ravel_multi_index(codes, shape), shape
@@ -330,15 +334,15 @@ def codebook_dmin(codewords: Scheme | np.ndarray) -> tuple[float, float, int]:
     Euclidean distance over all codeword pairs, the minimum distance among
     pairs whose difference has the minimum number of nonzero entries, and
     that minimum count (the rank of the diagonal difference matrix).
-    Where that is cheaper than the pair walk (column_alphabets), one
-    (min, +) sweep over the per-subcarrier alphabets finds d_min and a
-    second, rank first, the rank-limited pair (_least_pair); exact either
-    way, with the same sums.
+    Where column_alphabets contracts, one (min, +) sweep over the
+    per-subcarrier alphabets finds d_min and a second, rank first, the
+    rank-limited pair (_least_pair); elsewhere the row pairs are walked,
+    with the same sums, or the table is refused (ValueError).
     """
     X = np.asarray(codewords.codewords if isinstance(codewords, Scheme) else codewords)
     if X.shape[0] < 2:
         raise ValueError("need at least 2 codewords")
-    alphabets = column_alphabets(X, weight=_DMIN_WEIGHT)
+    alphabets = column_alphabets(X)
     if alphabets is None:
         return _dmin_pairs(X)
     d2, rows, shape = alphabets

@@ -193,7 +193,8 @@ def is_clique(graph: HammingGraph, subset) -> bool:
     return not (np.repeat(member, np.diff(ptr)) & member[non]).any()
 
 
-def brute_force_k_clique(graph: HammingGraph, budget: int | None = None) -> CliqueResult:
+def brute_force_k_clique(graph: HammingGraph, budget: int | None = None,
+                         time_budget: float = TIME_BUDGET_S) -> CliqueResult:
     """Scan for a k-clique with k = 2^(floor(log2 bound) - kappa).
 
     Candidate k-subsets are streamed in lexicographic order (rank 0
@@ -201,16 +202,20 @@ def brute_force_k_clique(graph: HammingGraph, budget: int | None = None) -> Cliq
     success. When no k-clique exists the size is halved (kappa += 1) and
     the scan restarts; k = 1 always succeeds, so termination is
     guaranteed. A budget caps the total number of subsets examined across
-    all levels; hitting it yields an inconclusive result, which is
-    distinct from a proven absence.
+    all levels, and time_budget the seconds the scan takes; hitting
+    either yields an inconclusive result, which is distinct from a proven
+    absence. A non-finite time_budget raises ValueError.
     """
+    _finite(time_budget)
     exp0 = floor_log2(clique_upper_bound(graph))
     t0 = time.perf_counter()
+    deadline = t0 + time_budget
     adj = graph.adjacency
     subsets = itertools.chain.from_iterable(  # k <= bound <= L; k = 1 always succeeds
         itertools.combinations(range(graph.order), 1 << e) for e in range(exp0, -1, -1))
     if budget is not None:
         subsets = itertools.islice(subsets, max(budget, 0))
+    subsets = itertools.takewhile(lambda _: time.perf_counter() <= deadline, subsets)
     found = next((s for s in subsets
                   if int(adj[np.ix_(s, s)].sum()) == len(s) * (len(s) - 1)), None)
     return CliqueResult(
@@ -322,11 +327,12 @@ def exact_max_clique(graph: HammingGraph, time_budget: float = TIME_BUDGET_S) ->
 def solver(algorithm: str, budget: int | None = None,
            time_budget: float = TIME_BUDGET_S) -> Callable[[HammingGraph], CliqueResult]:
     """The solver named algorithm, as a function of the graph: alg1 (brute
-    force, capped by budget), alg2 (vertex exclusion) or exact (capped by
-    time_budget seconds). An unknown name, or a non-finite time_budget for
-    exact, raises ValueError here, before any graph is built."""
+    force, capped by budget and time_budget seconds), alg2 (vertex
+    exclusion) or exact (capped by time_budget seconds). An unknown name,
+    or a non-finite time_budget for alg1 or exact, raises ValueError here,
+    before any graph is built."""
     if algorithm == "alg1":
-        return partial(brute_force_k_clique, budget=budget)
+        return partial(brute_force_k_clique, budget=budget, time_budget=_finite(time_budget))
     if algorithm == "alg2":
         return vertex_exclusion
     if algorithm == "exact":

@@ -5,6 +5,7 @@ import glob
 import inspect
 import math
 import os
+import time
 import warnings
 
 import pytest
@@ -18,6 +19,7 @@ from spmofdm.cli import (
     EXIT_OK,
     MAX_SNR_POINTS,
     ConfigError,
+    _COMMANDS,
     _scheme_from_config,
     _snr_grid,
     load_config,
@@ -228,6 +230,18 @@ class TestSelectCommand:
         p = write_cfg(tmp_path, "s.cfg",
                       "variant=ospm\nn=4\nk=2\nalgorithms=alg1\nbudget=3\n")
         assert run("select", p, tmp_path / "s.csv") == EXIT_BUDGET
+
+    def test_alg1_time_budget_exit(self, tmp_path, capsys):
+        # no subset budget: C(75, 32) subsets, stopped by the deadline alone
+        p = write_cfg(tmp_path, "s.cfg",
+                      "variant=ofspm\nn=4\nalgorithms=alg1\ntime_budget=0.5\n")
+        out = tmp_path / "s.csv"
+        t0 = time.perf_counter()
+        assert run("select", p, out) == EXIT_BUDGET
+        assert time.perf_counter() - t0 < 10
+        rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert [r[0] for r in rows[1:]] == ["alg1"] and rows[1][4] == "0"
+        assert capsys.readouterr().out.splitlines()[1].endswith(" (budget exhausted)")
 
     def test_exact_timeout_exit(self, tmp_path, capsys):
         p = write_cfg(tmp_path, "s.cfg",
@@ -460,12 +474,17 @@ class TestBoundCommand:
 
 class TestUnwritableOutput:
     """An output path that cannot be opened for writing is a config error
-    that names the path, with nothing written."""
+    that names the path, found before any work, with nothing written."""
 
-    @pytest.mark.parametrize("command", ["rate", "codebook"])
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
     @pytest.mark.parametrize("target", ["missing_dir", "directory"])
-    def test_exit_2(self, tmp_path, capsys, command, target):
-        p = write_cfg(tmp_path, "c.cfg", "variant=ospm\nn=4\nk=2\nm=2\n")
+    def test_exit_2(self, tmp_path, capsys, monkeypatch, command, target):
+        for module, name in ((codebook, "build_scheme"), (codebook, "build_index_codebook"),
+                             (codebook, "rate"), (simulation, "simulate_ber"),
+                             (simulation, "estimate_rate")):
+            monkeypatch.setattr(module, name, lambda *a, n=name, **kw: pytest.fail(n))
+        p = write_cfg(tmp_path, "c.cfg", "variant=ospm\nn=4\nk=2\nm=2\nalgorithms=alg2\n"
+                      "snr_start=0\nsnr_stop=0\nsnr_step=1\nwith_bound=1\n")
         out = tmp_path / "absent" / "o.csv" if target == "missing_dir" else tmp_path
         assert run(command, p, out) == EXIT_CONFIG
         assert list(tmp_path.iterdir()) == [tmp_path / "c.cfg"]
@@ -554,6 +573,22 @@ class TestSizeGuards:
         assert not out.exists()
         assert (f"{count} patterns, above the enumeration limit {1 << 20}"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["codebook", "bound", "ber"])
+    def test_walk_pair_limit(self, tmp_path, capsys, monkeypatch, command):
+        # mm(6,4): 2^21 codewords over 20 * 24^5 code tuples, above the
+        # contraction cap; the walk's 2^41 pairs would take about 66 hours
+        monkeypatch.setattr(simulation, "simulate_ber", lambda *a, **kw: pytest.fail("simulated"))
+        p = write_cfg(tmp_path, "w.cfg", "variant=mm\nn=6\nm=4\nwith_bound=1\n"
+                      "snr_start=0\nsnr_stop=0\nsnr_step=1\n")
+        out = tmp_path / "o.csv"
+        assert run(command, p, out) == EXIT_CONFIG
+        assert list(tmp_path.iterdir()) == [tmp_path / "w.cfg"]
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert (f"2097152 codewords over alphabets (20, 24, 24, 24, 24, 24) do not contract, "
+                f"and their {(1 << 20) * ((1 << 21) - 1)} pairs exceed the walk limit "
+                f"{codebook.MAX_WALK_PAIRS}" in captured.err)
 
     @pytest.mark.parametrize("command", ["bound", "codebook", "rate-mc", "ber"])
     def test_codeword_table_size(self, tmp_path, capsys, command):

@@ -388,10 +388,9 @@ class TestAlphabetKernels:
     on dense tables and walk the codeword pairs on sparse ones; both paths
     match the pair oracles."""
 
-    @pytest.mark.parametrize("weight", [0.0, math.inf], ids=["contract", "walk"])
-    def test_random_small_alphabets(self, monkeypatch, weight):
-        monkeypatch.setattr(codebook, "_DMIN_WEIGHT", weight)
-        monkeypatch.setattr(analysis, "_BOUND_WEIGHT", weight)
+    @pytest.mark.parametrize("contracts", [True, False], ids=["contract", "walk"])
+    def test_random_small_alphabets(self, monkeypatch, contracts):
+        monkeypatch.setattr(codebook, "_contracts", lambda *a: contracts)
         for X in small_alphabet_books(seed=7, count=200):
             assert codebook_dmin(X) == _dmin_pairs(X)
             for g in (0.3, 10.0, 1e4):
@@ -400,7 +399,7 @@ class TestAlphabetKernels:
                 assert abs(got.ber_bound - ref.ber_bound) <= 1e-12 * ref.ber_bound
 
     def test_random_distinct_rows(self, monkeypatch):
-        monkeypatch.setattr(codebook, "_DMIN_WEIGHT", 0.0)
+        monkeypatch.setattr(codebook, "_contracts", lambda *a: True)
         ranks, widths = [], []
         for X in distinct_row_books(seed=11, count=400):
             got = codebook_dmin(X)
@@ -415,6 +414,8 @@ class TestAlphabetKernels:
     @pytest.mark.parametrize("variant, contracts", [
         (dict(variant="ofspm", n=4, m=2, selection="alg2"), True),  # J = 512, prod U = 8^4
         (dict(variant="mm", n=3, m=8), True),  # J = 2048, prod U = 16 * 24^2
+        (dict(variant="ofdm-im", n=4, n_active=2, m=8), True),  # J = 256, prod U = 9^4
+        (dict(variant="ofdm-im", n=5, n_active=2, m=4), True),  # J = 128, prod U = 5^5
         (dict(variant="ofdm-im", n=6, n_active=2, m=8), False),  # J = 512, prod U = 9^6
         (dict(variant="ofdm-im", n=8, n_active=1, m=8), False),  # J = 64, prod U = 9^8
     ], ids=lambda v: "-".join(str(x) for x in v.values()) if isinstance(v, dict) else str(v))
@@ -434,7 +435,7 @@ class TestAlphabetKernels:
         dict(variant="ofdm", n=1, m=2),
         dict(variant="mm", n=2, m=2),
         dict(variant="ofspm", n=4, m=2, selection="alg2"),
-        dict(variant="ofdm-im", n=4, n_active=2, m=8),  # rate_mc_full/ofdm_im_4_2_8: the bound walks
+        dict(variant="ofdm-im", n=4, n_active=2, m=8),  # rate_mc_full/ofdm_im_4_2_8
     ], ids=lambda v: "-".join(str(x) for x in v.values()))
     def test_scheme_or_table(self, variant):
         scheme = build_scheme(**variant)
@@ -445,8 +446,30 @@ class TestAlphabetKernels:
     def test_contraction_size_cap(self):
         X = np.arange(160).reshape(4, 40) * (1 + 1j)  # 4^40 code tuples
         assert 4**40 > MAX_CONTRACTION_SIZE
-        assert codebook.column_alphabets(X, weight=0.0) is None
+        # the cap alone refuses a table the term count would contract
+        assert not codebook._contracts((4,) * 40, 1 << 80, 40)
+        assert codebook.column_alphabets(X) is None
         assert codebook_dmin(X) == _dmin_pairs(X)
+
+    def test_walk_pair_limit(self, monkeypatch):
+        # ofdm-im(8,1,8) walks its 2016 pairs; ofspm(4,2) contracts at any limit
+        sparse = build_scheme("ofdm-im", 8, n_active=1, m=8)
+        dense = build_scheme("ofspm", 4, m=2, selection="alg2")
+        expected = codebook_dmin(dense), union_bound_ber(dense, 10.0)
+        monkeypatch.setattr(codebook, "MAX_WALK_PAIRS", 2015)
+        for kernel in (codebook_dmin, lambda s: union_bound_ber(s, 10.0)):
+            with pytest.raises(ValueError, match="2016 pairs exceed the walk limit 2015"):
+                kernel(sparse)
+        monkeypatch.setattr(codebook, "MAX_WALK_PAIRS", 0)
+        assert (codebook_dmin(dense), union_bound_ber(dense, 10.0)) == expected
+        monkeypatch.setattr(codebook, "MAX_WALK_PAIRS", 2016)
+        assert codebook_dmin(sparse) == _dmin_pairs(sparse.codewords)
+
+    def test_walk_pair_limit_admits_ofdm_im_7_3_8(self):
+        # J = 2^14 codewords over 9^7 code tuples, above the contraction cap
+        X = build_scheme("ofdm-im", 7, n_active=3, m=8).codewords
+        assert codebook.column_alphabets(X) is None
+        assert X.shape[0] * (X.shape[0] - 1) // 2 <= codebook.MAX_WALK_PAIRS
 
 
 class TestRate:

@@ -11,6 +11,7 @@ import glob
 import itertools
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -383,6 +384,24 @@ class TestBruteForce:
         g = ospm_graph(4)
         res = brute_force_k_clique(g, budget=3)
         assert not res.conclusive and res.size == 0
+
+    def test_time_budget_is_inconclusive(self):
+        # C(75, 32) subsets at k = 32 on ofspm(4): the deadline ends the scan
+        t0 = time.perf_counter()
+        res = brute_force_k_clique(ofspm_graph(4), time_budget=0.2)
+        assert time.perf_counter() - t0 < 10
+        assert not res.conclusive and not res.settled and res.size == 0
+
+    def test_solver_passes_time_budget(self):
+        assert not solver("alg1", time_budget=-1.0)(ospm_graph(4)).conclusive
+        assert solver("alg1", time_budget=60.0)(ospm_graph(4)).size == 8
+
+    @pytest.mark.parametrize("budget", [math.nan, math.inf])
+    def test_non_finite_time_budget(self, budget):
+        with pytest.raises(ValueError, match="time_budget must be finite"):
+            solver("alg1", time_budget=budget)
+        with pytest.raises(ValueError, match="time_budget must be finite"):
+            brute_force_k_clique(ospm_graph(4), time_budget=budget)
 
     def test_spm_4_2_selects_four(self):
         # the four singleton-block partitions are the clique found here
